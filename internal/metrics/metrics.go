@@ -6,7 +6,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 	"strings"
 	"sync"
@@ -105,11 +105,16 @@ func (c *CDF) Points(n int) [][2]float64 {
 // gateway's TTFT/TBT export): a mutex-guarded CDF with optional reservoir
 // subsampling (algorithm R) so a long-running server's memory stays
 // bounded. The zero value is usable and unbounded.
+//
+// Each reservoir draws from its own generator, held by value and seeded with
+// the same constant, so two runs that add the same samples retain the same
+// ones and report the same quantiles.
 type SafeCDF struct {
 	mu   sync.Mutex
 	cdf  CDF
 	max  int
 	seen uint64
+	rng  rand.PCG // zero value: the constant seed (0, 0)
 }
 
 // NewSafeCDF returns a tracker retaining at most maxSamples via uniform
@@ -128,7 +133,7 @@ func (s *SafeCDF) Add(v float64) {
 	// Reservoir replacement: v displaces a uniformly chosen retained
 	// sample with probability max/seen. The reservoir's ordering is
 	// irrelevant (Quantile sorts), so replacing any slot is unbiased.
-	if j := rand.Int63n(int64(s.seen)); j < int64(s.max) {
+	if j := s.rng.Uint64() % s.seen; j < uint64(s.max) {
 		s.cdf.samples[j] = v
 		s.cdf.sorted = false
 	}

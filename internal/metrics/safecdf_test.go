@@ -121,3 +121,35 @@ func TestSafeCDFConcurrent(t *testing.T) {
 		t.Fatalf("Seen = %d, want 4000", s.Seen())
 	}
 }
+
+// TestSafeCDFDeterministicPastCap feeds the same stream through two
+// reservoirs far past their cap: they must retain the same samples, so their
+// quantiles agree exactly.
+func TestSafeCDFDeterministicPastCap(t *testing.T) {
+	a, b := NewSafeCDF(64), NewSafeCDF(64)
+	for i := 0; i < 50*64; i++ {
+		v := float64((i * 7919) % 1000)
+		a.Add(v)
+		b.Add(v)
+	}
+	for _, q := range []float64{0.01, 0.5, 0.9, 0.99} {
+		if qa, qb := a.Quantile(q), b.Quantile(q); qa != qb {
+			t.Fatalf("Quantile(%v): %v vs %v", q, qa, qb)
+		}
+	}
+	if ma, mb := a.Mean(), b.Mean(); ma != mb {
+		t.Fatalf("Mean: %v vs %v", ma, mb)
+	}
+}
+
+// TestSafeCDFAddAllocationFree pins that a reservoir past its cap adds
+// without allocating: slomon builds fresh sketches every epoch.
+func TestSafeCDFAddAllocationFree(t *testing.T) {
+	s := NewSafeCDF(16)
+	for i := 0; i < 16; i++ {
+		s.Add(float64(i))
+	}
+	if n := testing.AllocsPerRun(1000, func() { s.Add(1) }); n != 0 {
+		t.Fatalf("Add past the cap allocates %v times", n)
+	}
+}
