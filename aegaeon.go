@@ -463,7 +463,8 @@ type Report struct {
 	Faults         FaultStats
 	// SLO is the live monitor's final snapshot — windowed attainment,
 	// burn-rate alert states, and missed-token cause counters — taken at the
-	// end of the run. Nil without Config.SLOMonitor.
+	// end of the run. Its cumulative blocks come from the same ledger as
+	// Attainment. Nil without Config.SLOMonitor.
 	SLO *slomon.Snapshot
 	// GeneratedTokens counts tokens actually produced — the run's real
 	// throughput numerator, unaffected by shed requests whose unproduced
@@ -525,12 +526,13 @@ func (s *System) Serve(trace []Request) (Report, error) {
 		switches += e.Stats().Switches
 	}
 	cdf := s.sys.SwitchLatencyCDF()
+	ledger := s.sys.Ledger()
 	rep := Report{
 		Attainment:      s.sys.Attainment(),
-		TTFTAttainment:  s.sys.Tracker().TTFTAttainment(),
-		MeanTTFT:        s.sys.Tracker().MeanTTFT(),
-		TTFTP50:         s.sys.Tracker().TTFTQuantile(0.5),
-		TTFTP99:         s.sys.Tracker().TTFTQuantile(0.99),
+		TTFTAttainment:  ledger.Fleet().TTFTAttainment(),
+		MeanTTFT:        ledger.Fleet().MeanTTFT(),
+		TTFTP50:         ledger.Fleet().TTFTQuantile(0.5),
+		TTFTP99:         ledger.Fleet().TTFTQuantile(0.99),
 		Completed:       s.sys.Completed(),
 		Requests:        len(trace),
 		VirtualDuration: s.eng.Now(),
@@ -552,6 +554,7 @@ func (s *System) Serve(trace []Request) (Report, error) {
 	}
 	if mon := s.sys.Monitor(); mon != nil {
 		rep.SLO = mon.Snapshot(s.eng.Now())
+		rep.SLO.AttachCumulative(ledger.Fleet(), ledger.Model)
 	}
 	for _, r := range s.sys.Requests() {
 		rep.GeneratedTokens += len(r.TokenTimes)
@@ -573,7 +576,7 @@ func (s *System) Serve(trace []Request) (Report, error) {
 		rep.Sheds = s.sys.OverloadSheds()
 		rep.AttainmentByPriority = make(map[string]float64, workload.NumPriorities)
 		for p := workload.Priority(0); p < workload.NumPriorities; p++ {
-			met, missed := s.sys.PriorityTracker(p).Tokens()
+			met, missed := ledger.Tier(p)
 			att := 1.0
 			if met+missed > 0 {
 				att = float64(met) / float64(met+missed)

@@ -414,7 +414,7 @@ func (c *Cluster) Finalize(end sim.Time) {
 func (c *Cluster) Attainment() float64 {
 	var met, missed float64
 	for _, d := range c.deps {
-		m, x := d.System.Tracker().Tokens()
+		m, x := d.System.Ledger().Fleet().Tokens()
 		met += float64(m)
 		missed += float64(x)
 	}
@@ -422,6 +422,25 @@ func (c *Cluster) Attainment() float64 {
 		return 1
 	}
 	return met / (met + missed)
+}
+
+// AttachCumulative fills snap's cumulative blocks from the deployments' SLO
+// ledgers. Models are disjoint across deployments, so each model block is
+// the owning deployment's view; the fleet block merges every deployment's.
+func (c *Cluster) AttachCumulative(snap *slomon.Snapshot) {
+	fleet := c.deps[0].System.Ledger().Fleet()
+	if len(c.deps) > 1 {
+		fleet = &slo.Tracker{}
+		for _, d := range c.deps {
+			fleet.Merge(d.System.Ledger().Fleet())
+		}
+	}
+	snap.AttachCumulative(fleet, func(model string) *slo.Tracker {
+		if d := c.route[model]; d != nil {
+			return d.System.Ledger().Model(model)
+		}
+		return nil
+	})
 }
 
 // Completed sums completions.
@@ -457,7 +476,7 @@ func (c *Cluster) AttainmentByPriority() map[string]float64 {
 	for p := workload.Priority(0); p < workload.NumPriorities; p++ {
 		var met, missed float64
 		for _, d := range c.deps {
-			m, x := d.System.PriorityTracker(p).Tokens()
+			m, x := d.System.Ledger().Tier(p)
 			met += float64(m)
 			missed += float64(x)
 		}

@@ -155,10 +155,10 @@ func TestShedLowPriorityTier(t *testing.T) {
 	if got := sys.OverloadSheds()[ShedLowPriority]; got != 1 {
 		t.Fatalf("sheds[%s] = %d, want 1", ShedLowPriority, got)
 	}
-	if met, missed := sys.PriorityTracker(workload.PriorityLow).Tokens(); met != 0 || missed == 0 {
+	if met, missed := sys.Ledger().Tier(workload.PriorityLow); met != 0 || missed == 0 {
 		t.Fatalf("low-tier tracker (met=%d, missed=%d): shed tokens must count as misses", met, missed)
 	}
-	if _, missed := sys.PriorityTracker(workload.PriorityHigh).Tokens(); missed != 0 {
+	if _, missed := sys.Ledger().Tier(workload.PriorityHigh); missed != 0 {
 		t.Fatalf("high tier charged %d misses while protected", missed)
 	}
 	if sys.LiveInFlight() != 0 {

@@ -58,13 +58,9 @@ type Request struct {
 	OnDone func(r *Request)
 
 	// live marks requests admitted via SubmitLive: they are not retained
-	// for batch Finalize reporting; their SLO observation folds into the
-	// tracker at completion so a long-running server stays bounded.
+	// for batch Finalize reporting; their fate is judged into the SLO ledger
+	// when they end, so a long-running server stays bounded.
 	live bool
-	// monFed marks batch requests whose SLO judgement already reached the
-	// live monitor mid-run (failRequest feeds sheds immediately so burn
-	// rates reflect overload as it happens); Finalize must not re-feed them.
-	monFed bool
 
 	// SessionID and Segments carry the conversation identity and the
 	// deterministic prompt content from the workload layer; the prefix cache

@@ -62,7 +62,7 @@ func AblationGrouping(o Options) Table {
 		sys := runAegaeon(o, models, trace, func(c *core.Config) { c.MaxGroupSize = g })
 		t.Rows = append(t.Rows, []string{
 			itoa(g), fmtPct(sys.Attainment()),
-			sys.Tracker().MeanTTFT().Round(time.Millisecond).String(),
+			sys.Ledger().Fleet().MeanTTFT().Round(time.Millisecond).String(),
 		})
 	}
 	t.Notes = "paper: larger values behave identically (groups seldom grow past 8); small values cause excessive scaling"

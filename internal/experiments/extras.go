@@ -4,9 +4,7 @@ import (
 	"math/rand"
 	"time"
 
-	"aegaeon/internal/core"
 	"aegaeon/internal/latency"
-	"aegaeon/internal/slomon"
 	"aegaeon/internal/workload"
 )
 
@@ -80,37 +78,27 @@ func ExtraWorkloadPatterns(o Options) Table {
 
 // ExtraPerModelAttainment breaks the headline attainment number down by
 // model: the fleet number hides whether misses concentrate on a few unlucky
-// models or spread evenly. It attaches a live SLO monitor to the offline
-// run and reads its per-model slo.ByModel cumulative trackers.
+// models or spread evenly. It reads the per-model views of the run's SLO
+// ledger.
 func ExtraPerModelAttainment(o Options) Table {
 	models := marketModels(8)
 	rng := rand.New(rand.NewSource(o.Seed))
 	trace := workload.PoissonTrace(rng, modelNames(models), 0.2, o.Horizon, workload.ShareGPT())
-	mon := slomon.New(slomon.Config{Objective: 0.99})
-	runAegaeon(o, models, trace, func(c *core.Config) { c.SLOMon = mon })
+	ledger := runAegaeon(o, models, trace).Ledger()
 	t := Table{
 		ID:     "Extra: per-model attainment",
 		Title:  "Token SLO attainment by model (8 models, RPS 0.2, ShareGPT)",
 		Header: []string{"model", "requests", "attainment", "TTFT p99"},
 	}
-	byModel := mon.Cumulative()
-	var fleetMet, fleetMissed, fleetReqs uint64
-	for _, name := range byModel.Models() {
-		trk := byModel.Get(name)
-		met, missed := trk.Tokens()
-		fleetMet += met
-		fleetMissed += missed
-		fleetReqs += trk.Requests()
+	for _, name := range ledger.Models() {
+		trk := ledger.Model(name)
 		t.Rows = append(t.Rows, []string{
 			name, itoa(int(trk.Requests())), fmtPct(trk.Attainment()),
 			trk.TTFTQuantile(0.99).Round(time.Millisecond).String(),
 		})
 	}
-	fleet := 1.0
-	if fleetMet+fleetMissed > 0 {
-		fleet = float64(fleetMet) / float64(fleetMet+fleetMissed)
-	}
-	t.Rows = append(t.Rows, []string{"(fleet)", itoa(int(fleetReqs)), fmtPct(fleet), "-"})
-	t.Notes = "per-model trackers come from the same slo.ByModel the live monitor serves on /debug/slo"
+	fleet := ledger.Fleet()
+	t.Rows = append(t.Rows, []string{"(fleet)", itoa(int(fleet.Requests())), fmtPct(fleet.Attainment()), "-"})
+	t.Notes = "per-model rows are views of the same SLO ledger the live monitor's /debug/slo cumulative blocks read"
 	return t
 }

@@ -48,8 +48,8 @@ func Figure6(o Options) Table {
 	aeg := runAegaeon(oo, models, trace)
 	t.Rows = append(t.Rows, []string{
 		"disaggregated (Aegaeon)", fmtPct(aeg.Attainment()),
-		fmtPct(aeg.Tracker().TTFTAttainment()),
-		aeg.Tracker().MeanTTFT().Round(time.Millisecond).String(),
+		fmtPct(aeg.Ledger().Fleet().TTFTAttainment()),
+		aeg.Ledger().Fleet().MeanTTFT().Round(time.Millisecond).String(),
 	})
 	t.Notes = "paper: prefill-first harms TBT under bursts, decoding-first harms TTFT under long inputs; disaggregation balances both"
 	return t

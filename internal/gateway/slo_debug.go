@@ -31,7 +31,8 @@ func (g *Gateway) sloMonitorOr404(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // sloSnapshot renders the monitor at the current virtual time (last known
-// time once the driver has stopped).
+// time once the driver has stopped), with cumulative blocks from the
+// deployments' SLO ledgers.
 func (g *Gateway) sloSnapshot() *slomon.Snapshot {
 	var virtual time.Duration
 	err := g.drv.Call(func() { virtual = g.cl.VirtualNow() })
@@ -40,7 +41,9 @@ func (g *Gateway) sloSnapshot() *slomon.Snapshot {
 		virtual = g.lastVirtual
 		g.mu.Unlock()
 	}
-	return g.opts.SLOMon.Snapshot(virtual)
+	snap := g.opts.SLOMon.Snapshot(virtual)
+	g.cl.AttachCumulative(snap)
+	return snap
 }
 
 func (g *Gateway) handleDebugSLO(w http.ResponseWriter, r *http.Request) {

@@ -76,18 +76,26 @@ func NewTracker() *Tracker { return &Tracker{} }
 // partially completed) request against the SLO. times[i] is the completion
 // time of token i; arrival is the request arrival time.
 func (t *Tracker) ObserveRequest(s SLO, arrival time.Duration, times []time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.requests++
-	allMet := true
+	t.observe(s, arrival, times, 0)
+}
+
+// observe judges one request — its generated tokens plus dropped tokens that
+// will never be generated — and returns the met and missed token counts.
+func (t *Tracker) observe(s SLO, arrival time.Duration, times []time.Duration, dropped int) (met, missed uint64) {
+	allMet := dropped == 0
 	for i, at := range times {
 		if at <= s.Deadline(arrival, i) {
-			t.tokensMet++
+			met++
 		} else {
-			t.tokensMissed++
 			allMet = false
 		}
 	}
+	missed = uint64(len(times)) - met + uint64(dropped)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.requests++
+	t.tokensMet += met
+	t.tokensMissed += missed
 	if len(times) > 0 {
 		ttft := times[0] - arrival
 		t.ttftSum += ttft
@@ -105,17 +113,46 @@ func (t *Tracker) ObserveRequest(s SLO, arrival time.Duration, times []time.Dura
 	if allMet {
 		t.reqAllMet++
 	}
+	return met, missed
 }
 
-// ObserveDropped records a request that never produced any tokens within
-// the measurement window (e.g. rejected or starved): it counts as a fully
-// violated request with one missed token, so saturated systems cannot
-// launder failures by never finishing work.
+// ObserveDropped records one token that will never be generated within the
+// measurement window (its request was rejected or starved): a missed token,
+// so saturated systems cannot launder failures by never finishing work. The
+// request itself is counted by ObserveRequest.
 func (t *Tracker) ObserveDropped() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.requests++
 	t.tokensMissed++
+}
+
+// Merge folds o's observations into t: the counters add and o's retained
+// TTFT samples join t's reservoir (quantiles over merged reservoirs are
+// estimates once either was subsampled).
+func (t *Tracker) Merge(o *Tracker) {
+	o.mu.Lock()
+	met, missed, reqs, allMet := o.tokensMet, o.tokensMissed, o.requests, o.reqAllMet
+	sum, count, ttftMet := o.ttftSum, o.ttftCount, o.ttftMet
+	var samples []float64
+	if o.ttftCDF != nil {
+		samples = o.ttftCDF.Samples()
+	}
+	o.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.tokensMet += met
+	t.tokensMissed += missed
+	t.requests += reqs
+	t.reqAllMet += allMet
+	t.ttftSum += sum
+	t.ttftCount += count
+	t.ttftMet += ttftMet
+	if len(samples) > 0 && t.ttftCDF == nil {
+		t.ttftCDF = metrics.NewSafeCDF(maxTTFTSamples)
+	}
+	for _, v := range samples {
+		t.ttftCDF.Add(v)
+	}
 }
 
 // Attainment returns the fraction of tokens that met their deadlines in

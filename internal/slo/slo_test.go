@@ -89,13 +89,21 @@ func TestMixedAttainment(t *testing.T) {
 }
 
 func TestObserveDropped(t *testing.T) {
+	// A request that produced one on-time token and then died owing three:
+	// the dropped tokens are three misses, and no extra requests.
 	tr := NewTracker()
-	tr.ObserveDropped()
-	if tr.Attainment() != 0 {
-		t.Fatalf("dropped request attainment = %.3f, want 0", tr.Attainment())
+	tr.ObserveRequest(Default(), 0, []time.Duration{time.Second})
+	for i := 0; i < 3; i++ {
+		tr.ObserveDropped()
+	}
+	if met, missed := tr.Tokens(); met != 1 || missed != 3 {
+		t.Fatalf("tokens = %d met / %d missed, want 1/3", met, missed)
+	}
+	if tr.Attainment() != 0.25 {
+		t.Fatalf("attainment = %.3f, want 0.25", tr.Attainment())
 	}
 	if tr.Requests() != 1 {
-		t.Fatalf("requests = %d", tr.Requests())
+		t.Fatalf("requests = %d, want 1", tr.Requests())
 	}
 }
 

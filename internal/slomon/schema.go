@@ -55,8 +55,8 @@ type ScopeSnapshot struct {
 	// values sum to TokensMissed.
 	Causes map[string]uint64 `json:"causes"`
 
-	// Cumulative mirrors the offline slo.Tracker definition (absent for
-	// scopes that saw only windowed drops before any request finished).
+	// Cumulative is the scope's view of the ledger of request fates (see
+	// AttachCumulative); absent until a request of the scope was judged.
 	Cumulative *CumulativeStats `json:"cumulative,omitempty"`
 }
 
@@ -97,7 +97,8 @@ type TransitionSnapshot struct {
 	Slow float64 `json:"burn_slow"`
 }
 
-// CumulativeStats mirrors slo.Tracker's cumulative accounting.
+// CumulativeStats is one view of the ledger of request fates: every
+// request judged so far, each of its tokens against its deadline.
 type CumulativeStats struct {
 	Requests          uint64  `json:"requests"`
 	TokensMet         uint64  `json:"tokens_met"`
@@ -131,19 +132,19 @@ func (m *Monitor) Snapshot(now sim.Time) *Snapshot {
 			{Name: "slow", Seconds: m.cfg.SlowWindow.Seconds()},
 		},
 	}
-	out.Fleet = m.scopeSnapshotLocked("", m.fleet, m.fleetCum, now)
+	out.Fleet = m.scopeSnapshotLocked("", m.fleet, now)
 	names := make([]string, 0, len(m.models))
 	for name := range m.models {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		out.Models = append(out.Models, m.scopeSnapshotLocked(name, m.models[name], m.cum.Get(name), now))
+		out.Models = append(out.Models, m.scopeSnapshotLocked(name, m.models[name], now))
 	}
 	return out
 }
 
-func (m *Monitor) scopeSnapshotLocked(model string, s *scope, cum *slo.Tracker, now sim.Time) ScopeSnapshot {
+func (m *Monitor) scopeSnapshotLocked(model string, s *scope, now sim.Time) ScopeSnapshot {
 	out := ScopeSnapshot{
 		Model:        model,
 		TokensMet:    s.met,
@@ -191,20 +192,37 @@ func (m *Monitor) scopeSnapshotLocked(model string, s *scope, cum *slo.Tracker, 
 	out.ErrorBudgetRemaining = clamp01(1 - slowBurn)
 	out.TTFT = quantileStats(s.ttft.merged())
 	out.TBT = quantileStats(s.tbt.merged())
-	if cum != nil && cum.Requests() > 0 {
-		met, missed := cum.Tokens()
-		out.Cumulative = &CumulativeStats{
-			Requests:          cum.Requests(),
-			TokensMet:         met,
-			TokensMissed:      missed,
-			Attainment:        cum.Attainment(),
-			RequestAttainment: cum.RequestAttainment(),
-			TTFTAttainment:    cum.TTFTAttainment(),
-			MeanTTFTS:         cum.MeanTTFT().Seconds(),
-			P99TTFTS:          cum.TTFTQuantile(0.99).Seconds(),
-		}
-	}
 	return out
+}
+
+// AttachCumulative fills the cumulative blocks from the ledger of request
+// fates: the fleet scope from fleet, each model scope from model(name). A
+// scope whose view is nil or has judged no request gets no block. Nil-safe.
+func (s *Snapshot) AttachCumulative(fleet *slo.Tracker, model func(name string) *slo.Tracker) {
+	if s == nil {
+		return
+	}
+	s.Fleet.Cumulative = cumulativeOf(fleet)
+	for i := range s.Models {
+		s.Models[i].Cumulative = cumulativeOf(model(s.Models[i].Model))
+	}
+}
+
+func cumulativeOf(t *slo.Tracker) *CumulativeStats {
+	if t == nil || t.Requests() == 0 {
+		return nil
+	}
+	met, missed := t.Tokens()
+	return &CumulativeStats{
+		Requests:          t.Requests(),
+		TokensMet:         met,
+		TokensMissed:      missed,
+		Attainment:        t.Attainment(),
+		RequestAttainment: t.RequestAttainment(),
+		TTFTAttainment:    t.TTFTAttainment(),
+		MeanTTFTS:         t.MeanTTFT().Seconds(),
+		P99TTFTS:          t.TTFTQuantile(0.99).Seconds(),
+	}
 }
 
 func quantileStats(c *metrics.CDF) QuantileStats {
@@ -310,6 +328,16 @@ func validateScope(label string, sc ScopeSnapshot) error {
 	if c := sc.Cumulative; c != nil {
 		if c.Attainment < 0 || c.Attainment > 1 {
 			return fmt.Errorf("slomon: %s: cumulative attainment %v outside [0,1]", label, c.Attainment)
+		}
+		if total := c.TokensMet + c.TokensMissed; total > 0 {
+			want := float64(c.TokensMet) / float64(total)
+			if math.Abs(c.Attainment-want) > 1e-9 {
+				return fmt.Errorf("slomon: %s: cumulative attainment %v inconsistent with met/missed %d/%d",
+					label, c.Attainment, c.TokensMet, c.TokensMissed)
+			}
+		}
+		if c.RequestAttainment < 0 || c.RequestAttainment > 1 {
+			return fmt.Errorf("slomon: %s: cumulative request_attainment %v outside [0,1]", label, c.RequestAttainment)
 		}
 	}
 	return nil

@@ -5,11 +5,11 @@
 // joining it against the obs span and switch-stage data.
 //
 // The Monitor is fed token-by-token from the serving path (core's token
-// stamp sites), plus request-level observations mirroring the cumulative
-// slo.Tracker sites, so windowed and cumulative attainment share one
-// definition and converge on steady workloads. All methods are nil-safe:
-// a nil *Monitor records nothing, keeping the default serving path free
-// of monitoring overhead.
+// stamp sites) and holds only windowed state. Cumulative attainment lives in
+// core's slo.Ledger, the one account of request fates; a snapshot's
+// cumulative blocks are attached from it (Snapshot.AttachCumulative). All
+// methods are nil-safe: a nil *Monitor records nothing, keeping the default
+// serving path free of monitoring overhead.
 package slomon
 
 import (
@@ -18,7 +18,6 @@ import (
 
 	"aegaeon/internal/obs"
 	"aegaeon/internal/sim"
-	"aegaeon/internal/slo"
 )
 
 // Config parameterizes the monitor. Zero values take the defaults noted.
@@ -135,22 +134,15 @@ type Monitor struct {
 	fleet  *scope
 	models map[string]*scope
 	now    sim.Time // latest time observed or advanced to
-
-	// Cumulative attainment, mirroring the slo.Tracker call sites so the
-	// windowed and offline paths share one definition.
-	cum      *slo.ByModel
-	fleetCum *slo.Tracker
 }
 
 // New builds a monitor. Config zero values take defaults.
 func New(cfg Config) *Monitor {
 	cfg.applyDefaults()
 	return &Monitor{
-		cfg:      cfg,
-		fleet:    newScope(cfg),
-		models:   map[string]*scope{},
-		cum:      slo.NewByModel(),
-		fleetCum: slo.NewTracker(),
+		cfg:    cfg,
+		fleet:  newScope(cfg),
+		models: map[string]*scope{},
 	}
 }
 
@@ -207,16 +199,13 @@ func (m *Monitor) ObserveToken(o TokenObs) {
 // has already passed, else in the bucket of the judgement time — a dead
 // request's future tokens are known lost now, but a miss cannot be filed
 // into a future bucket. Attribution joins the overrun interval (or, for
-// future deadlines, the request's lifetime so far). Cumulative accounting
-// mirrors slo.Tracker.ObserveDropped. Nil-safe.
+// future deadlines, the request's lifetime so far). Nil-safe.
 func (m *Monitor) ObserveDropped(model, request, instance string, arrival, deadline, judged sim.Time) {
 	if m == nil {
 		return
 	}
 	cause := classify(m.cfg.Source, m.cfg.FaultActive,
 		model, request, instance, arrival, deadline, judged)
-	m.cum.ObserveDropped(model)
-	m.fleetCum.ObserveDropped()
 	bucketAt := deadline
 	if judged < bucketAt {
 		bucketAt = judged
@@ -230,16 +219,6 @@ func (m *Monitor) ObserveDropped(model, request, instance string, arrival, deadl
 		s.causes[cause]++
 	}
 	m.advanceLocked(judged)
-}
-
-// ObserveRequest folds one finished request into the cumulative per-model
-// and fleet trackers, mirroring the core slo.Tracker sites. Nil-safe.
-func (m *Monitor) ObserveRequest(model string, s slo.SLO, arrival sim.Time, times []sim.Time) {
-	if m == nil {
-		return
-	}
-	m.cum.ObserveRequest(model, s, arrival, times)
-	m.fleetCum.ObserveRequest(s, arrival, times)
 }
 
 // Advance moves the monitor's clock forward (rotating window buckets and
@@ -314,13 +293,4 @@ func (m *Monitor) FleetBurnRates() (fast, mid, slow float64) {
 	return burnRate(fm, fx, m.cfg.Objective),
 		burnRate(mm, mx, m.cfg.Objective),
 		burnRate(sm, sx, m.cfg.Objective)
-}
-
-// Cumulative returns the per-model cumulative trackers (nil on a nil
-// monitor) — the same attainment definition as the offline slo.Tracker.
-func (m *Monitor) Cumulative() *slo.ByModel {
-	if m == nil {
-		return nil
-	}
-	return m.cum
 }

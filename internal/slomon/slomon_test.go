@@ -8,22 +8,19 @@ import (
 	"time"
 
 	"aegaeon/internal/slo"
+	"aegaeon/internal/workload"
 )
 
 func TestNilMonitorIsSafe(t *testing.T) {
 	var m *Monitor
 	m.ObserveToken(TokenObs{Model: "m0"})
 	m.ObserveDropped("m0", "r1", "g0", 0, time.Second, 2*time.Second)
-	m.ObserveRequest("m0", slo.Default(), 0, []time.Duration{time.Second})
 	m.Advance(time.Second)
 	if m.Snapshot(time.Second) != nil {
 		t.Fatal("nil monitor snapshot != nil")
 	}
 	if m.FleetAlert() != AlertOK {
 		t.Fatal("nil monitor alert != ok")
-	}
-	if m.Cumulative() != nil {
-		t.Fatal("nil monitor cumulative != nil")
 	}
 }
 
@@ -78,43 +75,41 @@ func TestMonitorTTFTAndTBTSketches(t *testing.T) {
 	}
 }
 
-func TestMonitorCumulativeMirrorsTracker(t *testing.T) {
-	// The same observations fed to a plain tracker and through the monitor's
-	// request mirror must agree exactly — this is the convergence contract
-	// behind /debug/slo's cumulative block.
+func TestAttachCumulativeFromLedger(t *testing.T) {
+	// The cumulative blocks are views of the ledger, attached as they are:
+	// the fleet block from the fleet view, each model block from its model's
+	// view, and no block for a scope the ledger never judged.
 	m := New(Config{})
-	ref := slo.NewTracker()
+	for _, model := range []string{"m0", "m1"} {
+		m.ObserveToken(TokenObs{Model: model, Request: "r", Deadline: time.Second, At: time.Second})
+	}
+	var l slo.Ledger
 	s := slo.Default()
-	times := [][]time.Duration{
-		{time.Second, 1100 * time.Millisecond},
-		{20 * time.Second}, // TTFT miss
-		{500 * time.Millisecond, 600 * time.Millisecond, 700 * time.Millisecond},
-	}
-	for _, ts := range times {
-		m.ObserveRequest("m0", s, 0, ts)
-		ref.ObserveRequest(s, 0, ts)
-	}
-	m.ObserveDropped("m0", "rX", "", 0, time.Second, 2*time.Second)
-	ref.ObserveDropped()
-
+	l.Observe("m0", workload.PriorityNormal, s, 0, []time.Duration{time.Second, 1100 * time.Millisecond}, 0)
+	l.Observe("m0", workload.PriorityNormal, s, 0, []time.Duration{20 * time.Second}, 2) // TTFT miss, died
 	snap := m.Snapshot(30 * time.Second)
+	snap.AttachCumulative(l.Fleet(), l.Model)
 	cum := snap.Fleet.Cumulative
 	if cum == nil {
-		t.Fatal("no cumulative block")
+		t.Fatal("no fleet cumulative block")
 	}
-	if cum.Requests != ref.Requests() {
-		t.Fatalf("requests %d != tracker %d", cum.Requests, ref.Requests())
+	met, missed := l.Fleet().Tokens()
+	if cum.Requests != 2 || cum.TokensMet != met || cum.TokensMissed != missed ||
+		cum.Attainment != l.Fleet().Attainment() || cum.RequestAttainment != 0.5 ||
+		cum.TTFTAttainment != 0.5 {
+		t.Fatalf("fleet block %+v does not match the ledger (%d/%d)", *cum, met, missed)
 	}
-	refMet, refMissed := ref.Tokens()
-	if cum.TokensMet != refMet || cum.TokensMissed != refMissed {
-		t.Fatalf("tokens %d/%d != tracker %d/%d", cum.TokensMet, cum.TokensMissed, refMet, refMissed)
+	if snap.Models[0].Cumulative == nil || *snap.Models[0].Cumulative != *cum {
+		t.Fatalf("m0 block %+v, want the fleet's %+v", snap.Models[0].Cumulative, *cum)
 	}
-	if cum.Attainment != ref.Attainment() {
-		t.Fatalf("attainment %v != tracker %v", cum.Attainment, ref.Attainment())
+	if snap.Models[1].Cumulative != nil {
+		t.Fatalf("m1 was never judged but has block %+v", *snap.Models[1].Cumulative)
 	}
-	if cum.TTFTAttainment != ref.TTFTAttainment() {
-		t.Fatalf("TTFT attainment %v != tracker %v", cum.TTFTAttainment, ref.TTFTAttainment())
+	if err := Validate(snap); err != nil {
+		t.Fatal(err)
 	}
+	var nilSnap *Snapshot
+	nilSnap.AttachCumulative(l.Fleet(), l.Model) // must not panic
 }
 
 func TestDroppedFutureDeadlineBucketsAtJudgement(t *testing.T) {
@@ -180,6 +175,12 @@ func TestValidateRejectsBrokenSnapshots(t *testing.T) {
 			s.Models = append(s.Models, ScopeSnapshot{})
 		}},
 		{"inconsistent attainment", func(s *Snapshot) { s.Fleet.Windowed[0].Attainment = 0.123 }},
+		{"inconsistent cumulative attainment", func(s *Snapshot) {
+			s.Fleet.Cumulative = &CumulativeStats{Requests: 1, TokensMet: 1, TokensMissed: 1, Attainment: 0.9}
+		}},
+		{"cumulative request attainment out of range", func(s *Snapshot) {
+			s.Fleet.Cumulative = &CumulativeStats{Requests: 1, TokensMet: 1, Attainment: 1, RequestAttainment: 1.5}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
