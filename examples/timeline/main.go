@@ -15,15 +15,15 @@ import (
 	"aegaeon/internal/engine"
 	"aegaeon/internal/latency"
 	"aegaeon/internal/model"
+	"aegaeon/internal/obs"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
-	"aegaeon/internal/trace"
 	"aegaeon/internal/workload"
 )
 
 func main() {
 	models := model.SmallMix(3)
-	tr := trace.New(1 << 14)
+	col := obs.New(obs.Options{})
 
 	se := sim.NewEngine(1)
 	sys := core.NewSystem(se, core.Config{
@@ -33,7 +33,7 @@ func main() {
 		NumDecode:  1, // a single decoding GPU shared by all three models
 		Models:     models,
 		SLO:        slo.Default(),
-		Tracer:     tr,
+		Obs:        col,
 	})
 
 	// One long request per model, arriving a second apart — the Fig. 2
@@ -56,9 +56,9 @@ func main() {
 
 	fmt.Println("token-level auto-scaling timeline (decode GPU, first 40 turn events):")
 	n := 0
-	for _, e := range tr.Events() {
+	for _, e := range col.Events() {
 		switch e.Kind {
-		case trace.KindTurnStart, trace.KindSwitchStart, trace.KindSwitchDone:
+		case obs.KindTurnStart, obs.KindSwitchStart, obs.KindSwitchDone:
 			fmt.Printf("  %s\n", e)
 			n++
 		}
@@ -66,7 +66,7 @@ func main() {
 			break
 		}
 	}
-	fmt.Printf("\n%s\n\n", tr.Summary())
+	fmt.Printf("\n%s\n\n", col.EventSummary())
 
 	fmt.Println("per-request first and last token (all three interleave on one GPU):")
 	for _, r := range sys.Requests() {

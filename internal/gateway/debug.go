@@ -47,7 +47,7 @@ func (g *Gateway) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		last = n
 	}
 	c := g.opts.Obs
-	events := c.Ring().Events()
+	events := c.Events()
 	if len(events) > last {
 		events = events[len(events)-last:]
 	}
@@ -69,7 +69,7 @@ func (g *Gateway) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"events_total":   c.Ring().Total(),
+		"events_total":   c.EventsTotal(),
 		"events":         flat,
 		"requests":       c.Requests(last),
 		"switches":       switches,

@@ -7,24 +7,24 @@
 //
 // The Collector is the single sink. It is nil-safe everywhere — a nil
 // *Collector records nothing and allocates nothing, so the serving hot paths
-// pay one pointer comparison when observability is off. The bounded backing
-// store for flat events is the existing trace.Tracer ring (one event model,
-// not two): every collector method that corresponds to a scheduler event
-// also emits the matching trace.Event into the ring.
+// pay one pointer comparison when observability is off. Flat events live in
+// the collector's own bounded ring, under the same lock as the timelines
+// (one event model, not two): every collector method that corresponds to a
+// scheduler event also records the matching Event there.
 //
-// Everything the collector retains is bounded: request timelines, per-engine
-// op rings, switch records, and per-request token stamps all have caps, so a
-// long-running gateway's memory stays flat.
+// Everything the collector retains is bounded: the flat event ring, request
+// timelines, per-engine op rings, switch records, and per-request token
+// stamps all have caps, so a long-running gateway's memory stays flat.
 package obs
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
 
 	"aegaeon/internal/gpu"
 	"aegaeon/internal/sim"
-	"aegaeon/internal/trace"
 )
 
 // Span is one closed interval of a request's lifecycle. Detail optionally
@@ -118,9 +118,7 @@ func (r *opRing) ordered() []gpu.OpRecord {
 
 // Options bounds the collector's retention.
 type Options struct {
-	// Ring is the flat event store. Nil creates one with RingCapacity.
-	Ring *trace.Tracer
-	// RingCapacity sizes the ring when Ring is nil (default 16384).
+	// RingCapacity bounds the flat event ring (default 16384).
 	RingCapacity int
 	// MaxRequests bounds retained request timelines (default 2048). When
 	// full, the oldest completed timeline is evicted (oldest overall if none
@@ -157,9 +155,9 @@ func (o *Options) defaults() {
 // simulation goroutine writes while debug handlers snapshot.
 type Collector struct {
 	opts Options
-	ring *trace.Tracer
 
 	mu       sync.Mutex
+	ring     eventRing
 	reqs     map[string]*RequestTimeline
 	reqOrder []string // admission order, for eviction
 	devs     map[string]*deviceTimeline
@@ -174,26 +172,14 @@ type Collector struct {
 // New builds a collector.
 func New(opts Options) *Collector {
 	opts.defaults()
-	ring := opts.Ring
-	if ring == nil {
-		ring = trace.New(opts.RingCapacity)
-	}
 	return &Collector{
 		opts:    opts,
-		ring:    ring,
+		ring:    eventRing{buf: make([]Event, 0, opts.RingCapacity)},
 		reqs:    map[string]*RequestTimeline{},
 		devs:    map[string]*deviceTimeline{},
 		open:    map[string]*SwitchRecord{},
 		turnSet: map[string][]string{},
 	}
-}
-
-// Ring returns the flat event store (nil on a nil collector).
-func (c *Collector) Ring() *trace.Tracer {
-	if c == nil {
-		return nil
-	}
-	return c.ring
 }
 
 // ObserveDevice registers the collector as d's op observer and creates its
@@ -251,9 +237,9 @@ func (c *Collector) RequestArrived(id, model string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindArrival, Subject: id, Detail: model})
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.ring.push(Event{At: at, Kind: KindArrival, Subject: id, Detail: model})
 	if _, ok := c.reqs[id]; ok {
 		return // re-dispatch after failover: keep the original timeline
 	}
@@ -290,9 +276,9 @@ func (c *Collector) PrefillStart(instance, id string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindPrefillStart, Instance: instance, Subject: id})
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.ring.push(Event{At: at, Kind: KindPrefillStart, Instance: instance, Subject: id})
 	if t := c.timeline(id); t != nil {
 		t.closeSpan("queue-wait", at)
 		t.openSpan("prefill", at)
@@ -308,9 +294,10 @@ func (c *Collector) RequestSpan(instance, id, name, detail string, start, end si
 	if c == nil {
 		return
 	}
-	c.ring.Emitf(end, trace.KindPrefix, instance, id, "%s %s", name, detail)
+	ev := Event{At: end, Kind: KindPrefix, Instance: instance, Subject: id, Detail: name + " " + detail}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.ring.push(ev)
 	if t := c.timeline(id); t != nil {
 		t.Spans = append(t.Spans, Span{Name: name, Detail: detail, Start: start, End: end})
 	}
@@ -321,9 +308,9 @@ func (c *Collector) PrefillDone(instance, id string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindPrefillDone, Instance: instance, Subject: id})
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.ring.push(Event{At: at, Kind: KindPrefillDone, Instance: instance, Subject: id})
 	if t := c.timeline(id); t != nil {
 		t.closeSpan("prefill", at)
 		t.openSpan("decode-wait", at)
@@ -336,10 +323,11 @@ func (c *Collector) TurnStart(instance, model string, at sim.Time, quota time.Du
 	if c == nil {
 		return
 	}
-	c.ring.Emitf(at, trace.KindTurnStart, instance, model,
-		"%d reqs, quota %.2fs", len(reqIDs), quota.Seconds())
+	ev := Event{At: at, Kind: KindTurnStart, Instance: instance, Subject: model,
+		Detail: fmt.Sprintf("%d reqs, quota %.2fs", len(reqIDs), quota.Seconds())}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.ring.push(ev)
 	c.turnSet[instance] = append(c.turnSet[instance][:0], reqIDs...)
 	for _, id := range reqIDs {
 		if t := c.timeline(id); t != nil {
@@ -355,9 +343,9 @@ func (c *Collector) TurnEnd(instance, model string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindTurnEnd, Instance: instance, Subject: model})
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.ring.push(Event{At: at, Kind: KindTurnEnd, Instance: instance, Subject: model})
 	for _, id := range c.turnSet[instance] {
 		if t := c.timeline(id); t != nil {
 			t.closeSpan("decode-turn", at)
@@ -374,9 +362,11 @@ func (c *Collector) TokenBatch(instance, model string, at sim.Time, reqIDs []str
 	if c == nil {
 		return
 	}
-	c.ring.Emitf(at, trace.KindTokenBatch, instance, model, "%d tokens", len(reqIDs))
+	ev := Event{At: at, Kind: KindTokenBatch, Instance: instance, Subject: model,
+		Detail: fmt.Sprintf("%d tokens", len(reqIDs))}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.ring.push(ev)
 	for _, id := range reqIDs {
 		c.tokenLocked(id, at)
 	}
@@ -405,10 +395,7 @@ func (c *Collector) tokenLocked(id string, at sim.Time) {
 
 // Evicted records a KV eviction of a victim batch (lazy eviction).
 func (c *Collector) Evicted(instance, model string, at sim.Time) {
-	if c == nil {
-		return
-	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindEvict, Instance: instance, Subject: model})
+	c.emit(Event{At: at, Kind: KindEvict, Instance: instance, Subject: model})
 }
 
 // RequestDone closes every open span and marks the timeline finished.
@@ -416,9 +403,9 @@ func (c *Collector) RequestDone(id string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindRequestDone, Subject: id})
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.ring.push(Event{At: at, Kind: KindRequestDone, Subject: id})
 	t := c.timeline(id)
 	if t == nil {
 		return
@@ -433,27 +420,18 @@ func (c *Collector) RequestDone(id string, at sim.Time) {
 // Fault records an injected or detected failure (instance crash, transfer
 // error window, fetch failure, store partition) in the flat event ring.
 func (c *Collector) Fault(instance, kind, detail string, at sim.Time) {
-	if c == nil {
-		return
-	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindFailure, Instance: instance, Subject: kind, Detail: detail})
+	c.emit(Event{At: at, Kind: KindFailure, Instance: instance, Subject: kind, Detail: detail})
 }
 
 // Recovery records a completed recovery action (failover, orphan
 // re-dispatch, breaker close) in the flat event ring.
 func (c *Collector) Recovery(instance, detail string, at sim.Time) {
-	if c == nil {
-		return
-	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindRecovery, Instance: instance, Detail: detail})
+	c.emit(Event{At: at, Kind: KindRecovery, Instance: instance, Detail: detail})
 }
 
 // Retry records one backoff retry (fetch, transfer, or metastore op).
 func (c *Collector) Retry(instance, what string, at sim.Time) {
-	if c == nil {
-		return
-	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindRetry, Instance: instance, Subject: what})
+	c.emit(Event{At: at, Kind: KindRetry, Instance: instance, Subject: what})
 }
 
 // BeginSwitch opens a switch record for the instance. The engine calls it
@@ -463,9 +441,10 @@ func (c *Collector) BeginSwitch(instance, from, to string, at sim.Time, reinitAv
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindSwitchStart, Instance: instance, Subject: to, Detail: "from " + from})
+	ev := Event{At: at, Kind: KindSwitchStart, Instance: instance, Subject: to, Detail: "from " + from}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.ring.push(ev)
 	rec := &SwitchRecord{Instance: instance, From: from, To: to, Start: at, ReinitAvoided: reinitAvoided}
 	c.open[instance] = rec
 	if len(c.switches) < c.opts.MaxSwitches {
@@ -516,9 +495,9 @@ func (c *Collector) EndSwitch(instance string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindSwitchDone, Instance: instance})
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.ring.push(Event{At: at, Kind: KindSwitchDone, Instance: instance})
 	rec := c.open[instance]
 	if rec == nil {
 		return

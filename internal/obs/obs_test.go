@@ -6,7 +6,6 @@ import (
 
 	"aegaeon/internal/gpu"
 	"aegaeon/internal/sim"
-	"aegaeon/internal/trace"
 )
 
 func ms(n int) sim.Time { return time.Duration(n) * time.Millisecond }
@@ -62,11 +61,10 @@ func TestRequestSpanLifecycle(t *testing.T) {
 		t.Fatalf("tokens = %d/%d", len(rt.Tokens), rt.TokensTotal)
 	}
 	// The flat ring saw the matching events (one event model, not two).
-	ring := c.Ring()
-	for _, k := range []trace.Kind{trace.KindArrival, trace.KindPrefillStart,
-		trace.KindPrefillDone, trace.KindTurnStart, trace.KindTurnEnd,
-		trace.KindTokenBatch, trace.KindRequestDone} {
-		if ring.Count(k) == 0 {
+	for _, k := range []Kind{KindArrival, KindPrefillStart,
+		KindPrefillDone, KindTurnStart, KindTurnEnd,
+		KindTokenBatch, KindRequestDone} {
+		if c.EventCount(k) == 0 {
 			t.Errorf("ring missing kind %v", k)
 		}
 	}
@@ -328,7 +326,7 @@ func TestNilCollectorIsNoopAndAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("nil collector allocates %v per run", allocs)
 	}
-	if c.Ring() != nil || c.Requests(10) != nil || c.DeviceTimelines() != nil {
+	if c.Events() != nil || c.EventsTotal() != 0 || c.Requests(10) != nil || c.DeviceTimelines() != nil {
 		t.Fatal("nil collector returned data")
 	}
 	if _, ok := c.Request("r1"); ok {
@@ -336,17 +334,5 @@ func TestNilCollectorIsNoopAndAllocationFree(t *testing.T) {
 	}
 	if sws, total := c.Switches(); sws != nil || total != 0 {
 		t.Fatal("nil collector has switches")
-	}
-}
-
-func TestCollectorUsesProvidedRing(t *testing.T) {
-	ring := trace.New(64)
-	c := New(Options{Ring: ring})
-	if c.Ring() != ring {
-		t.Fatal("collector did not adopt the provided ring")
-	}
-	c.RequestArrived("r1", "m", ms(0))
-	if ring.Count(trace.KindArrival) != 1 {
-		t.Fatal("collector event did not reach the shared ring")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"aegaeon/internal/sim"
-	"aegaeon/internal/trace"
 )
 
 // perfetto track layout constants.
@@ -207,18 +206,18 @@ func (c *Collector) WritePerfettoAnnotated(w io.Writer, annotations []RequestIns
 	// Fault tracks: instant events for failures, recoveries, and retries,
 	// pulled from the flat event ring onto a shared "faults" process with one
 	// thread per category.
-	faultTids := map[trace.Kind]int{
-		trace.KindFailure:  1,
-		trace.KindRecovery: 2,
-		trace.KindRetry:    3,
+	faultTids := map[Kind]int{
+		KindFailure:  1,
+		KindRecovery: 2,
+		KindRetry:    3,
 	}
-	faultNames := map[trace.Kind]string{
-		trace.KindFailure:  "failures",
-		trace.KindRecovery: "recoveries",
-		trace.KindRetry:    "retries",
+	faultNames := map[Kind]string{
+		KindFailure:  "failures",
+		KindRecovery: "recoveries",
+		KindRetry:    "retries",
 	}
-	wroteFaultMeta := map[trace.Kind]bool{}
-	for _, ev := range c.Ring().Events() {
+	wroteFaultMeta := map[Kind]bool{}
+	for _, ev := range c.Events() {
 		tid, ok := faultTids[ev.Kind]
 		if !ok {
 			continue
