@@ -58,13 +58,20 @@ func TestFleetLedgerMatchesGPUUtilization(t *testing.T) {
 
 	const eps = 0.02 // fraction of wall time
 	wall := time.Duration(now).Seconds()
-	for _, e := range sys.Engines() {
+	snap := fleet.Snapshot(now)
+	for i, e := range sys.Engines() {
 		dev := e.Device()
-		// The raw mirror is maintained from the same busy edges gpu sums
-		// into BusyTime, so it must agree exactly, not approximately.
-		for k := gpu.Compute; k <= gpu.D2H; k++ {
-			if got, want := fleet.RawBusy(e.Name, k, now), dev.BusyTime(k); got != want {
-				t.Errorf("%s: ledger raw busy[%v] %v != gpu.BusyTime %v", e.Name, k, got, want)
+		// The snapshot's raw busy fields are the device's own counters, so
+		// they agree exactly, not approximately.
+		ds := snap.Devices[i]
+		if ds.Device != e.Name {
+			t.Fatalf("snapshot device %d is %s, want %s", i, ds.Device, e.Name)
+		}
+		for k, got := range map[gpu.EngineKind]float64{
+			gpu.Compute: ds.RawComputeBusyS, gpu.H2D: ds.RawH2DBusyS, gpu.D2H: ds.RawD2HBusyS,
+		} {
+			if want := dev.BusyTime(k).Seconds(); got != want {
+				t.Errorf("%s: snapshot raw busy[%v] %vs != gpu.BusyTime %vs", e.Name, k, got, want)
 			}
 		}
 		// Classified compute states vs the compute engine: masking by host

@@ -22,9 +22,10 @@
 // ledger is therefore an *exposed* weight-load second — directly comparable
 // to the exposed switch cost of results/figure_8_10.csv.
 //
-// Besides the exclusive partition, the ledger mirrors each engine's raw
-// busy time from the same occupancy edges, byte-for-byte equal to
-// gpu.Device.BusyTime — the cross-check regression tests assert against it.
+// Besides the exclusive partition, snapshots report each engine's raw busy
+// time, read from the registered device's own counters
+// (gpu.Device.BusyTime). Those counters advance on the simulation
+// goroutine, so snapshots and conservation checks run there too.
 //
 // All Ledger methods are nil-receiver safe: a nil ledger is the zero-cost
 // off path, the same seam contract as *obs.Collector.
@@ -187,11 +188,10 @@ type devLedger struct {
 	integral   [numStates]time.Duration
 	modelBusy  map[string]time.Duration // compute seconds per model
 
-	// Raw per-engine busy mirror (compute, h2d, d2h), maintained from the
-	// same edges as gpu's executor accounting — exact cross-check substrate.
-	rawOn    [3]bool
-	rawSince [3]sim.Time
-	rawBusy  [3]time.Duration
+	// dev is the device whose occupancy the ledger captures (nil for
+	// devices registered by name only); its busy counters are the raw
+	// per-engine busy times.
+	dev *gpu.Device
 
 	segs     []Segment
 	segsLost uint64
@@ -272,7 +272,7 @@ func (l *Ledger) ObserveDevice(dev *gpu.Device) {
 		return
 	}
 	l.mu.Lock()
-	l.register(dev.Name)
+	l.register(dev.Name).dev = dev
 	l.mu.Unlock()
 	dev.ObserveBusy(func(d *gpu.Device, k gpu.EngineKind, info gpu.OpInfo, busy bool) {
 		l.noteOp(d.Name, k, info, busy)
@@ -335,14 +335,6 @@ func (l *Ledger) noteOp(device string, k gpu.EngineKind, info gpu.OpInfo, busy b
 		return
 	}
 	now := l.eng.Now()
-	ek := int(k)
-	if busy {
-		d.rawOn[ek] = true
-		d.rawSince[ek] = now
-	} else if d.rawOn[ek] {
-		d.rawBusy[ek] += now - d.rawSince[ek]
-		d.rawOn[ek] = false
-	}
 	s := Classify(k, info)
 	if busy {
 		d.claims[s]++
@@ -492,18 +484,21 @@ func (d *devLedger) partition(now sim.Time) (wall time.Duration, states [numStat
 	return
 }
 
-// rawBusyAt mirrors gpu's busyTotal for one engine kind at instant now.
-func (d *devLedger) rawBusyAt(k int, now sim.Time) time.Duration {
-	if d.rawOn[k] {
-		return d.rawBusy[k] + (now - d.rawSince[k])
+// rawBusy is one engine's busy time as the device itself counts it (zero
+// for devices registered by name only).
+func (d *devLedger) rawBusy(k gpu.EngineKind) time.Duration {
+	if d.dev == nil {
+		return 0
 	}
-	return d.rawBusy[k]
+	return d.dev.BusyTime(k)
 }
 
 // CheckConservation verifies the hard invariant at instant now: for every
 // device, the state integrals (plus the open segment) sum exactly to wall
-// time since registration, and no raw busy integral exceeds wall time.
-// Returns one message per violation; nil means the ledger conserves.
+// time since registration, and no device's raw busy time exceeds wall time.
+// The raw busy times are read at the simulation clock, so call it on the
+// simulation goroutine with now equal to that clock. Returns one message per
+// violation; nil means the ledger conserves.
 func (l *Ledger) CheckConservation(now sim.Time) []string {
 	if l == nil {
 		return nil
@@ -525,10 +520,10 @@ func (l *Ledger) CheckConservation(now sim.Time) []string {
 			errs = append(errs, fmt.Sprintf("%s: state integrals sum to %v, wall time is %v (off by %v)",
 				name, sum, wall, sum-wall))
 		}
-		for k := 0; k < 3; k++ {
-			if rb := d.rawBusyAt(k, now); rb < 0 || rb > wall {
+		for k := gpu.Compute; k <= gpu.D2H; k++ {
+			if rb := d.rawBusy(k); rb < 0 || rb > wall {
 				errs = append(errs, fmt.Sprintf("%s: raw busy[%s] %v outside [0, %v]",
-					name, gpu.EngineKind(k), rb, wall))
+					name, k, rb, wall))
 			}
 		}
 		if d.faulted && d.cur != Faulted {
@@ -536,22 +531,6 @@ func (l *Ledger) CheckConservation(now sim.Time) []string {
 		}
 	}
 	return errs
-}
-
-// RawBusy returns the ledger's mirrored busy integral for one engine of the
-// device at instant now — byte-for-byte the value gpu.Device.BusyTime
-// reports when the edges were delivered. Zero for unknown devices.
-func (l *Ledger) RawBusy(device string, k gpu.EngineKind, now sim.Time) time.Duration {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	d := l.devices[device]
-	if d == nil {
-		return 0
-	}
-	return d.rawBusyAt(int(k), now)
 }
 
 // StateSeconds returns the device's accumulated seconds in state s at

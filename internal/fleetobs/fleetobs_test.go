@@ -26,8 +26,7 @@ func requireConserves(t *testing.T, l *Ledger, now sim.Time) {
 }
 
 // The core invariant: ops, host stages, and idle gaps partition wall time
-// exactly, and the raw busy mirror matches the device's own accounting
-// byte-for-byte.
+// exactly, and the snapshot's raw busy fields are the device's own counters.
 func TestConservationExact(t *testing.T) {
 	eng, l, dev := newLedgerDevice(t)
 	s := dev.NewStream("s")
@@ -58,11 +57,12 @@ func TestConservationExact(t *testing.T) {
 			t.Errorf("state %s: got %.3fs, want %v", st, got, want)
 		}
 	}
-	if got, want := l.RawBusy("dev0", gpu.Compute, now), dev.BusyTime(gpu.Compute); got != want {
-		t.Errorf("raw compute mirror %v, device reports %v", got, want)
+	ds := l.Snapshot(now).Devices[0]
+	if got, want := ds.RawComputeBusyS, dev.BusyTime(gpu.Compute).Seconds(); got != want || want != 0.08 {
+		t.Errorf("raw compute busy %vs, device reports %vs, want 0.08s", got, want)
 	}
-	if got, want := l.RawBusy("dev0", gpu.H2D, now), dev.BusyTime(gpu.H2D); got != want {
-		t.Errorf("raw h2d mirror %v, device reports %v", got, want)
+	if got, want := ds.RawH2DBusyS, dev.BusyTime(gpu.H2D).Seconds(); got != want || want != 0.025 {
+		t.Errorf("raw h2d busy %vs, device reports %vs, want 0.025s", got, want)
 	}
 }
 
@@ -82,9 +82,9 @@ func TestConservationMidOp(t *testing.T) {
 	if got := l.StateSeconds("dev0", Decode, eng.Now()); got != 0 {
 		t.Errorf("decode seconds %v, want 0 (masked by fetch)", got)
 	}
-	// The raw mirror still sees the running compute op.
-	if got := l.RawBusy("dev0", gpu.Compute, eng.Now()); got != 300*time.Millisecond {
-		t.Errorf("raw compute %v, want 300ms", got)
+	// The raw busy time still sees the running compute op.
+	if got := l.Snapshot(eng.Now()).Devices[0].RawComputeBusyS; got != 0.3 {
+		t.Errorf("raw compute %vs, want 0.3s", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"aegaeon/internal/gpu"
 	"aegaeon/internal/sim"
 )
 
@@ -32,7 +33,8 @@ type DeviceSnapshot struct {
 	SwitchS      float64 `json:"switch_s"`
 	SwitchRatio  float64 `json:"switch_overhead_ratio"`
 
-	// Raw per-engine busy mirrors (the gpu.Utilization cross-check values).
+	// Raw per-engine busy times, read from the device's own counters
+	// (gpu.Device.BusyTime, the gpu.Utilization cross-check values).
 	RawComputeBusyS float64 `json:"raw_compute_busy_s"`
 	RawH2DBusyS     float64 `json:"raw_h2d_busy_s"`
 	RawD2HBusyS     float64 `json:"raw_d2h_busy_s"`
@@ -96,7 +98,9 @@ type Snapshot struct {
 
 // Snapshot renders the ledger at instant now without mutating it. The
 // conservation check runs as part of every snapshot; violations surface in
-// ConservationErrors (empty in any correct build).
+// ConservationErrors (empty in any correct build). Like CheckConservation it
+// reads the devices' busy counters, so take it on the simulation goroutine
+// with now equal to the simulation clock.
 func (l *Ledger) Snapshot(now sim.Time) *Snapshot {
 	if l == nil {
 		return nil
@@ -124,9 +128,9 @@ func (l *Ledger) Snapshot(now sim.Time) *Snapshot {
 			WallS:           wall.Seconds(),
 			StatesS:         map[string]float64{},
 			Current:         d.cur.String(),
-			RawComputeBusyS: d.rawBusyAt(0, now).Seconds(),
-			RawH2DBusyS:     d.rawBusyAt(1, now).Seconds(),
-			RawD2HBusyS:     d.rawBusyAt(2, now).Seconds(),
+			RawComputeBusyS: d.rawBusy(gpu.Compute).Seconds(),
+			RawH2DBusyS:     d.rawBusy(gpu.H2D).Seconds(),
+			RawD2HBusyS:     d.rawBusy(gpu.D2H).Seconds(),
 			Faulted:         d.faulted,
 			KVUsedBytes:     d.kvUsed,
 			KVPeakBytes:     d.kvPeak,

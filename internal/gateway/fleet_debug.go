@@ -8,22 +8,26 @@ import (
 	"aegaeon/internal/sim"
 )
 
-// fleetSnapshot renders the fleet ledger at the current virtual time. The
-// ledger carries its own lock, so only the clock read needs the event loop;
-// after the driver stops the snapshot is still served at the last virtual
-// time seen, matching the SLO endpoints' post-drain behavior.
-func (g *Gateway) fleetSnapshot() *fleetobs.Snapshot {
+// fleetSnapshot renders the fleet ledger at the current virtual time and
+// returns that time. The snapshot reads the devices' busy counters, which
+// the event loop advances, so it is taken on the loop; once the driver has
+// stopped it is taken after the loop exits, at the final virtual time. A nil
+// ledger yields a nil snapshot.
+func (g *Gateway) fleetSnapshot() (sim.Time, *fleetobs.Snapshot) {
 	var now sim.Time
-	if err := g.drv.Call(func() { now = g.cl.VirtualNow() }); err != nil {
-		g.mu.Lock()
-		now = g.lastVirtual
-		g.mu.Unlock()
-	} else {
-		g.mu.Lock()
-		g.lastVirtual = now
-		g.mu.Unlock()
+	var snap *fleetobs.Snapshot
+	take := func() {
+		now = g.cl.VirtualNow()
+		snap = g.opts.Fleet.Snapshot(now)
 	}
-	return g.opts.Fleet.Snapshot(now)
+	if err := g.drv.Call(take); err != nil {
+		<-g.drv.Done()
+		take()
+	}
+	g.mu.Lock()
+	g.lastVirtual = now
+	g.mu.Unlock()
+	return now, snap
 }
 
 // handleDebugFleet serves GET /debug/fleet: the full fleet utilization
@@ -43,5 +47,6 @@ func (g *Gateway) handleDebugFleet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(g.fleetSnapshot())
+	_, snap := g.fleetSnapshot()
+	_ = json.NewEncoder(w).Encode(snap)
 }

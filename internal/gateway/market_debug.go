@@ -4,30 +4,14 @@ import (
 	"encoding/json"
 	"net/http"
 
-	"aegaeon/internal/fleetobs"
 	"aegaeon/internal/market"
-	"aegaeon/internal/sim"
 )
 
 // marketSnapshot renders the spot market at the current virtual time, joined
 // against the fleet ledger (when present) for class economics. The market
-// carries its own lock, so only the clock read needs the event loop; after
-// the driver stops the snapshot is served at the last virtual time seen.
+// carries its own lock; the fleet snapshot sets the clock.
 func (g *Gateway) marketSnapshot() *market.Snapshot {
-	var now sim.Time
-	if err := g.drv.Call(func() { now = g.cl.VirtualNow() }); err != nil {
-		g.mu.Lock()
-		now = g.lastVirtual
-		g.mu.Unlock()
-	} else {
-		g.mu.Lock()
-		g.lastVirtual = now
-		g.mu.Unlock()
-	}
-	var fleet *fleetobs.Snapshot
-	if g.opts.Fleet != nil {
-		fleet = g.opts.Fleet.Snapshot(now)
-	}
+	now, fleet := g.fleetSnapshot()
 	return g.opts.Market.Snapshot(now, fleet)
 }
 

@@ -207,18 +207,14 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writePrefixMetrics(&b, prefixSnaps)
 	}
 
-	if g.opts.Fleet != nil {
-		// The ledger carries its own lock; only the virtual clock (already
-		// snapshotted above) needed the event loop.
-		writeFleetMetrics(&b, g.opts.Fleet.Snapshot(virtual))
-	}
-
-	if g.opts.Market != nil {
-		var fleetSnap *fleetobs.Snapshot
-		if g.opts.Fleet != nil {
-			fleetSnap = g.opts.Fleet.Snapshot(virtual)
+	if g.opts.Fleet != nil || g.opts.Market != nil {
+		now, fleetSnap := g.fleetSnapshot()
+		if fleetSnap != nil {
+			writeFleetMetrics(&b, fleetSnap)
 		}
-		writeMarketMetrics(&b, g.opts.Market.Snapshot(virtual, fleetSnap))
+		if g.opts.Market != nil {
+			writeMarketMetrics(&b, g.opts.Market.Snapshot(now, fleetSnap))
+		}
 	}
 
 	if g.opts.Decisions != nil {
