@@ -9,6 +9,7 @@ import (
 	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
+	"aegaeon/internal/slomon"
 	"aegaeon/internal/workload"
 )
 
@@ -56,6 +57,50 @@ func TestMixedParallelismRouting(t *testing.T) {
 	// Route table maps every model to its deployment.
 	if v, ok := c.Store().GetNow("route/" + large[0].Name); !ok || v != "tp4" {
 		t.Fatalf("route for %s = (%q,%v)", large[0].Name, v, ok)
+	}
+}
+
+// TestAttachCumulativeAcrossDeployments checks the SLO snapshot's cumulative
+// blocks on a two-deployment cluster: each model block is its owning
+// deployment's ledger view, and the fleet block merges both ledgers.
+func TestAttachCumulativeAcrossDeployments(t *testing.T) {
+	c, se, small, large := testCluster(t)
+	rng := rand.New(rand.NewSource(2))
+	traces := workload.Merge(
+		workload.PoissonTrace(rng, []string{small[0].Name}, 0.1, 60*time.Second, workload.ShareGPT()),
+		workload.PoissonTrace(rng, []string{large[0].Name}, 0.05, 60*time.Second, workload.ShareGPT()),
+	)
+	if err := c.Submit(traces); err != nil {
+		t.Fatal(err)
+	}
+	se.Run()
+	c.Finalize(se.Now())
+	snap := &slomon.Snapshot{Models: []slomon.ScopeSnapshot{
+		{Model: small[0].Name}, {Model: large[0].Name}, {Model: small[1].Name},
+	}}
+	c.AttachCumulative(snap)
+	fleet := snap.Fleet.Cumulative
+	if fleet == nil || fleet.Requests != uint64(len(traces)) {
+		t.Fatalf("fleet block %+v, want %d requests", fleet, len(traces))
+	}
+	if fleet.Attainment != c.Attainment() {
+		t.Fatalf("fleet block attainment %v, cluster %v", fleet.Attainment, c.Attainment())
+	}
+	var met, missed, reqs uint64
+	for i, d := range []*Deployment{c.deps[0], c.deps[1]} {
+		mb := snap.Models[i].Cumulative
+		view := d.System.Ledger().Model(snap.Models[i].Model)
+		if mb == nil || view == nil || mb.Requests != view.Requests() || mb.Attainment != view.Attainment() {
+			t.Fatalf("%s block %+v does not match deployment %s's ledger", snap.Models[i].Model, mb, d.Name)
+		}
+		met, missed, reqs = met+mb.TokensMet, missed+mb.TokensMissed, reqs+mb.Requests
+	}
+	if met != fleet.TokensMet || missed != fleet.TokensMissed || reqs != fleet.Requests {
+		t.Fatalf("model blocks sum to %d/%d over %d, fleet %d/%d over %d",
+			met, missed, reqs, fleet.TokensMet, fleet.TokensMissed, fleet.Requests)
+	}
+	if snap.Models[2].Cumulative != nil {
+		t.Fatalf("idle model %s has block %+v", small[1].Name, snap.Models[2].Cumulative)
 	}
 }
 

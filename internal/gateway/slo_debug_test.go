@@ -59,6 +59,12 @@ func TestDebugSLOSnapshot(t *testing.T) {
 	if snap.Fleet.TokensMet+snap.Fleet.TokensMissed == 0 {
 		t.Fatal("fleet scope judged no tokens after live traffic")
 	}
+	// The cumulative block is the deployment's SLO ledger: four finished
+	// streams of three tokens each, judged once apiece.
+	cum := snap.Fleet.Cumulative
+	if cum == nil || cum.Requests != 4 || cum.TokensMet+cum.TokensMissed != 12 {
+		t.Fatalf("fleet cumulative = %+v, want 4 requests and 12 tokens", cum)
+	}
 
 	// Method contract: the SLO surface is read-only.
 	req := httptest.NewRequest(http.MethodPost, "/debug/slo", nil)
