@@ -124,6 +124,39 @@ func TestDebugFleetEndpoint(t *testing.T) {
 	}
 }
 
+// TestDebugFleetAfterShutdown: once the driver has stopped, /debug/fleet is
+// still served, from the final simulation state, and still conserves.
+func TestDebugFleetAfterShutdown(t *testing.T) {
+	gw, names := newFleetGateway(t, Options{Speedup: 50000})
+	h := gw.Handler()
+	body := fmt.Sprintf(`{"model":%q,"input_tokens":128,"max_tokens":4}`, names[0])
+	if w := postCompletion(h, body); w.Code != http.StatusOK {
+		t.Fatalf("completion: status %d: %s", w.Code, w.Body.String())
+	}
+	if err := gw.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/fleet", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("/debug/fleet after shutdown: status %d: %s", w.Code, w.Body.String())
+	}
+	var snap fleetobs.Snapshot
+	if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil {
+		t.Fatalf("bad JSON: %v", err)
+	}
+	if len(snap.ConservationErrors) > 0 {
+		t.Fatalf("conservation violated after shutdown: %v", snap.ConservationErrors)
+	}
+	var compute float64
+	for _, d := range snap.Devices {
+		compute += d.RawComputeBusyS
+	}
+	if compute <= 0 {
+		t.Fatal("no raw compute busy time after serving a completion")
+	}
+}
+
 // TestMetricsFleetExposition is the exposition regression test for the
 // aegaeon_fleet_* families: each carries # HELP and # TYPE, _total families
 // are typed counter, per-device series appear in sorted device order with
