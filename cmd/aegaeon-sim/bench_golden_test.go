@@ -22,7 +22,7 @@ const benchDigestsPath = "testdata/bench_digests.json"
 type benchCase struct {
 	name   string
 	assert bool
-	run    func(out string, assert bool)
+	run    func(out string, assert bool) (failed []string)
 }
 
 // benchCases mirrors the three CI bench invocations:
@@ -31,38 +31,23 @@ type benchCase struct {
 //	-models 4 -prefill 2 -decode 2 -rps 0.03 -horizon 5m -prefix-bench
 //	-models 6 -prefill 1 -decode 4 -rps 0.3 -dataset sharegpt-ix2 -horizon 2m -market-bench
 func benchCases() []benchCase {
-	slo := aegaeon.DefaultSLO()
-	overload := func(out string, assert bool) {
-		floor := 0.0
-		if assert {
-			floor = 0.9
+	env := func(models, prefill, decode int, rps float64, horizon time.Duration, ds aegaeon.Dataset, dsName string, assert bool) benchEnv {
+		return benchEnv{
+			base: aegaeon.Config{
+				GPU: "H800", TP: 1, PrefillGPUs: prefill, DecodeGPUs: decode,
+				NumModels: models, SLO: aegaeon.DefaultSLO(), Seed: 1,
+			},
+			rps: rps, horizon: horizon, dataset: ds, datasetName: dsName, assert: assert,
 		}
-		runOverloadBench(benchOpts{
-			gpu: "H800", tp: 1, prefill: 2, decode: 2,
-			nModels: 8, rps: 0.3, horizon: 60 * time.Second, dataset: aegaeon.ShareGPT(),
-			datasetName: "sharegpt", slo: slo, seed: 1,
-			factor: 3, floor: floor, highFrac: 0.2, lowFrac: 0.3, out: out,
-		})
 	}
-	prefix := func(out string, assert bool) {
-		floor := 0.0
-		if assert {
-			floor = 0.3
-		}
-		runPrefixBench(prefixBenchOpts{
-			gpu: "H800", tp: 1, prefill: 2, decode: 2,
-			nModels: 4, rate: 0.03, horizon: 5 * time.Minute, dataset: aegaeon.ShareGPT(),
-			datasetName: "sharegpt", slo: slo, seed: 1,
-			floor: floor, out: out,
-		})
+	overload := func(out string, assert bool) []string {
+		return runBench(overloadBench(env(8, 2, 2, 0.3, 60*time.Second, aegaeon.ShareGPT(), "sharegpt", assert), 0.2, 0.3), out)
 	}
-	market := func(out string, assert bool) {
-		runMarketBench(marketBenchOpts{
-			gpu: "H800", tp: 1, prefill: 1, decode: 4,
-			nModels: 6, rps: 0.3, horizon: 2 * time.Minute, dataset: aegaeon.ShareGPTIx2(),
-			datasetName: "sharegpt-ix2", slo: slo, seed: 1,
-			assert: assert, out: out,
-		})
+	prefix := func(out string, assert bool) []string {
+		return runBench(prefixBench(env(4, 2, 2, 0.03, 5*time.Minute, aegaeon.ShareGPT(), "sharegpt", assert)), out)
+	}
+	market := func(out string, assert bool) []string {
+		return runBench(marketBench(env(6, 1, 4, 0.3, 2*time.Minute, aegaeon.ShareGPTIx2(), "sharegpt-ix2", assert), ""), out)
 	}
 	return []benchCase{
 		{"overload/asserted", true, overload},
@@ -89,7 +74,9 @@ func TestBenchGoldenDigests(t *testing.T) {
 	got := map[string]string{}
 	for _, bc := range benchCases() {
 		out := filepath.Join(dir, "bench.json")
-		bc.run(out, bc.assert)
+		if failed := bc.run(out, bc.assert); len(failed) > 0 {
+			t.Errorf("%s: floors failed: %v", bc.name, failed)
+		}
 		data, err := os.ReadFile(out)
 		if err != nil {
 			t.Fatal(err)

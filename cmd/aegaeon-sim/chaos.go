@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -134,15 +133,7 @@ func runChaos(o chaosOpts) {
 	}
 
 	if o.out != "" {
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(o.out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		writeJSON(o.out, bench)
 		fmt.Printf("chaos bench       %s (schema v%d, %d runs)\n", o.out, bench.SchemaVersion, bench.TotalRuns)
 	}
 	if bench.TotalViolns > 0 {

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -178,8 +179,8 @@ type kernelMetrics struct {
 	NumGC           uint32  `json:"num_gc"`
 }
 
-// writeKernelMetrics measures and writes the kernel self-metrics JSON.
-func writeKernelMetrics(path string, sys *aegaeon.System, rep *aegaeon.Report, wall time.Duration) error {
+// measureKernel takes the kernel self-metrics of a run that took wall.
+func measureKernel(sys *aegaeon.System, rep *aegaeon.Report, wall time.Duration) kernelMetrics {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	wallS := wall.Seconds()
@@ -200,11 +201,32 @@ func writeKernelMetrics(path string, sys *aegaeon.System, rep *aegaeon.Report, w
 		km.RequestsPerSec = float64(km.Requests) / wallS
 		km.SpeedupFactor = km.VirtualSeconds / wallS
 	}
-	data, err := json.MarshalIndent(km, "", "  ")
-	if err != nil {
-		return err
+	return km
+}
+
+// writeJSON writes v to path as indented JSON, exiting on failure.
+func writeJSON(path string, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(data, '\n'), 0o644)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+// writeFile creates path and fills it with write, exiting on failure.
+func writeFile(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := write(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
 }
 
 func main() {
@@ -229,14 +251,11 @@ func main() {
 		sloJSON    = flag.String("slo-json", "", "write the final SLO monitor snapshot as JSON to this file (implies -slo-report)")
 		overloadOn = flag.Bool("overload", false, "enable overload control: SLO-coupled brownout, deadline-aware shedding, priority-aware prefill (aegaeon system only)")
 		prioMix    = flag.String("priority-mix", "", `service-tier mix as "high,low" fractions of the trace, e.g. "0.2,0.3" (rest normal)`)
-		ovlBench   = flag.String("overload-bench", "", "run the three-arm overload benchmark (capacity / uncontrolled / controlled at -overload-factor x) and write BENCH JSON here")
-		ovlFactor  = flag.Float64("overload-factor", 3, "load multiplier for the overloaded arms of -overload-bench")
-		ovlFloor   = flag.Float64("overload-floor", 0, "assert controlled high-priority attainment >= floor, uncontrolled < floor, and controlled throughput >= 90% of capacity (0 = report only)")
+		ovlBench   = flag.String("overload-bench", "", "run the three-arm overload benchmark (capacity at 1x, uncontrolled / controlled at 3x load) and write BENCH JSON here")
 		prefixOn   = flag.Bool("prefix", false, "enable the global prefix cache with cache-aware routing (aegaeon system only)")
 		wlKind     = flag.String("workload", "poisson", "arrival pattern: poisson, multiturn, agentic, sharedprompt (-rps is sessions/tasks per s for the session kinds)")
 		sysToks    = flag.Int("system-prompt-tokens", 0, "shared system prompt length for session workloads (0 = per-kind default)")
 		pfxBench   = flag.String("prefix-bench", "", "run the three-arm prefix benchmark (nocache / cache / cache_routing over multiturn, agentic, sharedprompt) and write BENCH JSON here")
-		pfxFloor   = flag.Float64("prefix-floor", 0, "assert the cache_routing arm saves >= floor of sharedprompt prefill tokens and strictly dominates nocache on TTFT and savings (0 = report only)")
 		fleetOn    = flag.Bool("fleet-report", false, "run the fleet utilization ledger and print the per-device GPU-second accounting; exits non-zero if the conservation invariant breaks (aegaeon system only)")
 		fleetJSON  = flag.String("fleet-json", "", "write the final fleet snapshot as JSON to this file (implies -fleet-report)")
 		fleetCSV   = flag.String("fleet-csv", "", "write the per-device fleet accounting as CSV to this file, comparable against results/figure_8_10.csv exposed switch costs (implies -fleet-report)")
@@ -246,7 +265,7 @@ func main() {
 		mktSpot    = flag.Bool("market-spot", false, "activate spot pricing and reclaim risk (with -market)")
 		mktNaive   = flag.Bool("market-naive", false, "disable preemption-aware placement and KV evacuation: the spot-naive baseline (with -market)")
 		mktBench   = flag.String("market-bench", "", "run the three-arm spot-market benchmark (reliable / spot_naive / spot_aware on one trace) and write BENCH JSON here")
-		mktAssert  = flag.Bool("market-assert", false, "assert the -market-bench floors: spot_aware loses >=50% fewer KV bytes than spot_naive, no attainment or $-per-1k regression")
+		assert     = flag.Bool("assert", false, "assert the bench's floors and exit 1 if any fails: -overload-bench controlled hi-pri attainment >= 90% (uncontrolled below) at >= 90% of capacity throughput; -prefix-bench cache_routing saves >= 30% of sharedprompt prefill tokens and beats nocache on TTFT and savings; -market-bench spot_aware loses >= 50% fewer KV bytes than spot_naive with no attainment or $-per-1k regression")
 		smallMix   = flag.Bool("small-models", false, "serve the 6-8B small-model mix instead of the default 6-15B market mix (fits 24 GB market classes like A10/RTX4090)")
 		whyOn      = flag.Bool("why", false, "enable the decision-provenance journal and print the why-trace summary (aegaeon system only)")
 		whyJSON    = flag.String("why-json", "", "write the decision journal export as JSON to this file, checkable with aegaeon-trace -mode why (implies -why)")
@@ -268,60 +287,37 @@ func main() {
 	if *whyJSON != "" {
 		*whyOn = true
 	}
-	if *perfetto != "" && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-perfetto requires -system aegaeon (baselines are not instrumented)")
-		os.Exit(2)
-	}
-	if *faults != "" && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-faults requires -system aegaeon (baselines have no fault model)")
-		os.Exit(2)
-	}
-	if *sloReport && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-slo-report requires -system aegaeon (baselines feed no live monitor)")
-		os.Exit(2)
-	}
-	if *overloadOn && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-overload requires -system aegaeon (baselines have no overload control)")
-		os.Exit(2)
-	}
-	if *prefixOn && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-prefix requires -system aegaeon (baselines have no prefix cache)")
-		os.Exit(2)
-	}
-	if *fleetOn && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-fleet-report requires -system aegaeon (baselines are not instrumented)")
-		os.Exit(2)
-	}
-	if *kernelJSON != "" && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-kernel-json requires -system aegaeon (baselines run a private kernel)")
-		os.Exit(2)
-	}
-	if (*marketOn || *mktBench != "") && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-market requires -system aegaeon (baselines have no market model)")
-		os.Exit(2)
-	}
-	if *whyOn && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-why requires -system aegaeon (baselines journal no decisions)")
-		os.Exit(2)
-	}
-	if *chaosOn && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-chaos requires -system aegaeon (baselines have no fault model)")
-		os.Exit(2)
+	for _, c := range []struct {
+		set bool
+		msg string
+	}{
+		{*perfetto != "", "-perfetto requires -system aegaeon (baselines are not instrumented)"},
+		{*faults != "", "-faults requires -system aegaeon (baselines have no fault model)"},
+		{*sloReport, "-slo-report requires -system aegaeon (baselines feed no live monitor)"},
+		{*overloadOn, "-overload requires -system aegaeon (baselines have no overload control)"},
+		{*prefixOn, "-prefix requires -system aegaeon (baselines have no prefix cache)"},
+		{*fleetOn, "-fleet-report requires -system aegaeon (baselines are not instrumented)"},
+		{*kernelJSON != "", "-kernel-json requires -system aegaeon (baselines run a private kernel)"},
+		{*marketOn || *mktBench != "", "-market requires -system aegaeon (baselines have no market model)"},
+		{*whyOn, "-why requires -system aegaeon (baselines journal no decisions)"},
+		{*chaosOn, "-chaos requires -system aegaeon (baselines have no fault model)"},
+	} {
+		if c.set && *system != "aegaeon" {
+			fmt.Fprintln(os.Stderr, c.msg)
+			os.Exit(2)
+		}
 	}
 	if (*storeReps > 1 || *chaosSweep > 0 || *chaosJSON != "") && !*chaosOn {
 		fmt.Fprintln(os.Stderr, "-store-replicas/-chaos-sweep/-chaos-json require -chaos")
 		os.Exit(2)
 	}
-	var wk aegaeon.WorkloadKind
-	switch *wlKind {
-	case "poisson":
-		wk = aegaeon.Poisson
-	case "multiturn":
-		wk = aegaeon.MultiTurn
-	case "agentic":
-		wk = aegaeon.Agentic
-	case "sharedprompt":
-		wk = aegaeon.SharedPrompt
+	if *assert && *ovlBench == "" && *pfxBench == "" && *mktBench == "" {
+		fmt.Fprintln(os.Stderr, "-assert requires -overload-bench, -prefix-bench or -market-bench")
+		os.Exit(2)
+	}
+	wk := aegaeon.WorkloadKind(*wlKind)
+	switch wk {
+	case aegaeon.Poisson, aegaeon.MultiTurn, aegaeon.Agentic, aegaeon.SharedPrompt:
 	default:
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wlKind)
 		os.Exit(2)
@@ -355,63 +351,44 @@ func main() {
 		return
 	}
 
-	if *pfxBench != "" {
-		runPrefixBench(prefixBenchOpts{
-			gpu: *gpu, tp: *tp, prefill: *prefill, decode: *decode,
-			nModels: *nModels, rate: *rps, horizon: *horizon, dataset: ds,
-			datasetName: *dataset, slo: slo, seed: *seed,
-			floor: *pfxFloor, out: *pfxBench,
-		})
+	base := aegaeon.Config{
+		GPU: *gpu, TP: *tp, PrefillGPUs: *prefill, DecodeGPUs: *decode,
+		NumModels: *nModels, SLO: slo, Seed: *seed,
+	}
+	if *pfxBench != "" || *mktBench != "" || *ovlBench != "" {
+		env := benchEnv{base: base, rps: *rps, horizon: *horizon, dataset: ds, datasetName: *dataset, assert: *assert}
+		var failed []string
+		switch {
+		case *pfxBench != "":
+			failed = runBench(prefixBench(env), *pfxBench)
+		case *mktBench != "":
+			failed = runBench(marketBench(env, *mktClasses), *mktBench)
+		default:
+			failed = runBench(overloadBench(env, highFrac, lowFrac), *ovlBench)
+		}
+		if len(failed) > 0 {
+			os.Exit(1)
+		}
 		return
 	}
 
-	if *mktBench != "" {
-		runMarketBench(marketBenchOpts{
-			gpu: *gpu, tp: *tp, prefill: *prefill, decode: *decode,
-			nModels: *nModels, rps: *rps, horizon: *horizon, dataset: ds,
-			datasetName: *dataset, slo: slo, seed: *seed,
-			classes: *mktClasses, assert: *mktAssert, out: *mktBench,
-		})
-		return
-	}
-
-	if *ovlBench != "" {
-		runOverloadBench(benchOpts{
-			gpu: *gpu, tp: *tp, prefill: *prefill, decode: *decode,
-			nModels: *nModels, rps: *rps, horizon: *horizon, dataset: ds,
-			datasetName: *dataset, slo: slo, seed: *seed,
-			factor: *ovlFactor, floor: *ovlFloor,
-			highFrac: highFrac, lowFrac: lowFrac, out: *ovlBench,
-		})
-		return
-	}
-
-	var modelMix []*aegaeon.Model
+	cfg := base
 	if *smallMix {
-		modelMix = aegaeon.SmallModels(*nModels)
+		cfg.Models = aegaeon.SmallModels(*nModels)
 	}
-	sys, err := aegaeon.New(aegaeon.Config{
-		Models:               modelMix,
-		GPU:                  *gpu,
-		TP:                   *tp,
-		PrefillGPUs:          *prefill,
-		DecodeGPUs:           *decode,
-		NumModels:            *nModels,
-		SLO:                  slo,
-		Seed:                 *seed,
-		DisableOptimizations: *unopt,
-		Tracing:              *perfetto != "",
-		SLOMonitor:           *sloReport,
-		Overload:             *overloadOn,
-		PrefixRouting:        *prefixOn,
-		FleetAccounting:      *fleetOn,
-		Market:               *marketOn,
-		MarketClasses:        *mktClasses,
-		MarketSpot:           *mktSpot,
-		MarketNaive:          *mktNaive,
-		Faults:               *faults,
-		Decisions:            *whyOn,
-	})
+	cfg.DisableOptimizations = *unopt
+	cfg.Tracing = *perfetto != ""
+	cfg.SLOMonitor = *sloReport
+	cfg.Overload = *overloadOn
+	cfg.PrefixRouting = *prefixOn
+	cfg.FleetAccounting = *fleetOn
+	cfg.Market = *marketOn
+	cfg.MarketClasses = *mktClasses
+	cfg.MarketSpot = *mktSpot
+	cfg.MarketNaive = *mktNaive
+	cfg.Faults = *faults
+	cfg.Decisions = *whyOn
+	sys, err := aegaeon.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -489,26 +466,14 @@ func main() {
 		if err := slomon.Validate(rep.SLO); err != nil {
 			log.Fatalf("slo snapshot failed validation: %v", err)
 		}
-		data, err := json.MarshalIndent(rep.SLO, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*sloJSON, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
+		writeJSON(*sloJSON, rep.SLO)
 		fmt.Printf("slo snapshot      %s (schema v%d)\n", *sloJSON, rep.SLO.SchemaVersion)
 	}
 
 	if *fleetOn && rep.Fleet != nil {
 		printFleetReport(rep.Fleet)
 		if *fleetJSON != "" {
-			data, err := json.MarshalIndent(rep.Fleet, "", "  ")
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*fleetJSON, append(data, '\n'), 0o644); err != nil {
-				log.Fatal(err)
-			}
+			writeJSON(*fleetJSON, rep.Fleet)
 			fmt.Printf("fleet snapshot    %s (schema v%d)\n", *fleetJSON, rep.Fleet.SchemaVersion)
 		}
 		if *fleetCSV != "" {
@@ -533,38 +498,18 @@ func main() {
 		printWhyReport(sys.Decisions())
 	}
 	if *whyJSON != "" {
-		f, err := os.Create(*whyJSON)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sys.WriteDecisions(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+		writeFile(*whyJSON, sys.WriteDecisions)
 		fmt.Printf("decision journal  %s (schema v%d, check with aegaeon-trace -mode why)\n",
 			*whyJSON, decision.SchemaVersion)
 	}
 
 	if *kernelJSON != "" {
-		if err := writeKernelMetrics(*kernelJSON, sys, &rep, wallElapsed); err != nil {
-			log.Fatal(err)
-		}
+		writeJSON(*kernelJSON, measureKernel(sys, &rep, wallElapsed))
 		fmt.Printf("kernel metrics    %s\n", *kernelJSON)
 	}
 
 	if *perfetto != "" {
-		f, err := os.Create(*perfetto)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sys.WritePerfetto(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+		writeFile(*perfetto, sys.WritePerfetto)
 		fmt.Printf("perfetto trace    %s (open at https://ui.perfetto.dev)\n", *perfetto)
 	}
 }

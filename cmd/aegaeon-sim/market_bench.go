@@ -1,34 +1,15 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"log"
-	"math/rand"
-	"os"
 	"time"
 
 	"aegaeon"
 	"aegaeon/internal/workload"
 )
 
-type marketBenchOpts struct {
-	gpu                 string
-	tp, prefill, decode int
-	nModels             int
-	rps                 float64
-	horizon             time.Duration
-	dataset             aegaeon.Dataset
-	datasetName         string
-	slo                 aegaeon.SLO
-	seed                int64
-	classes             string
-	assert              bool
-	out                 string
-}
-
-// marketArm is one arm's row of BENCH_market.json.
-type marketArm struct {
+// marketRow is one arm's row of BENCH_market.json.
+type marketRow struct {
 	Arm             string  `json:"arm"` // reliable | spot_naive | spot_aware
 	Requests        int     `json:"requests"`
 	Completed       int     `json:"completed"`
@@ -46,10 +27,10 @@ type marketArm struct {
 	DollarsPer1KTokens float64 `json:"dollars_per_1k_tokens"`
 	// Classes carries the per-class unit economics ($-per-1k-tokens by
 	// device class) straight from the market snapshot.
-	Classes []marketArmClass `json:"classes"`
+	Classes []marketRowClass `json:"classes"`
 }
 
-type marketArmClass struct {
+type marketRowClass struct {
 	Class              string  `json:"class"`
 	Devices            int     `json:"devices"`
 	CostDollars        float64 `json:"cost_dollars"`
@@ -58,8 +39,8 @@ type marketArmClass struct {
 	Preemptions        int     `json:"preemptions"`
 }
 
-// runMarketBench serves one byte-identical trace on three arms of the spot
-// marketplace:
+// marketBench declares the spot-market bench (BENCH_market.json): one
+// byte-identical trace on three arms:
 //
 //   - reliable: a homogeneous on-demand pool — flat (expensive) rates, no
 //     reclaims. The dependable baseline spot economics are measured against.
@@ -69,159 +50,128 @@ type marketArmClass struct {
 //     preemption-aware placement and KV evacuation ahead of each deadline.
 //
 // Reclaims land mid-run on decode instances (where KV accumulates), at the
-// same virtual instants in both spot arms. With -market-assert the
-// comparison becomes an assertion: spot_aware must lose at least 50% fewer
-// KV bytes than spot_naive, must not regress attainment against spot_naive,
-// and must not cost more per 1k tokens.
-func runMarketBench(o marketBenchOpts) {
-	if o.classes == "" {
-		o.classes = "H800,A10"
+// same virtual instants in both spot arms. Under -assert spot_aware must lose
+// at least 50% fewer KV bytes than spot_naive, must not regress attainment
+// against spot_naive, and must not cost more per 1k tokens.
+func marketBench(e benchEnv, classes string) bench[marketRow] {
+	if classes == "" {
+		classes = "H800,A10"
 	}
 	// SmallModels fits every built-in class, including 24 GB devices, so the
 	// heterogeneous arms never outgrow their smallest card.
-	models := aegaeon.SmallModels(o.nModels)
-	names := make([]string, len(models))
-	for i, m := range models {
-		names[i] = m.Name
-	}
-	// The trace is generated outside the systems from an independent seed so
-	// all three arms serve the identical request sequence.
-	rng := rand.New(rand.NewSource(o.seed + 100))
-	trace := workload.PoissonTrace(rng, names, o.rps, o.horizon, o.dataset)
+	models := aegaeon.SmallModels(e.base.NumModels)
+	trace := workload.PoissonTrace(e.traceRand(), modelNames(models), e.rps, e.horizon, e.dataset)
 
 	// Reclaim schedule for the spot arms: two mid-run preemptions of decode
 	// instances with a 5s grace each, identical across arms. Decode KV is
 	// what evacuation protects, so that is where the notices land.
-	d1 := 1 % o.decode
-	d2 := (o.decode - 1) % o.decode
+	decode := e.base.DecodeGPUs
 	faults := fmt.Sprintf("reclaim@%ds+5s:decode%d,reclaim@%ds+5s:decode%d",
-		int(o.horizon.Seconds()*0.4), d1, int(o.horizon.Seconds()*0.7), d2)
-
-	serve := func(arm, classes, faultSpec string, spot, naive bool) marketArm {
-		sys, err := aegaeon.New(aegaeon.Config{
-			GPU: o.gpu, TP: o.tp, PrefillGPUs: o.prefill, DecodeGPUs: o.decode,
-			Models: models, SLO: o.slo, Seed: o.seed,
-			Market: true, MarketClasses: classes,
-			MarketSpot: spot, MarketNaive: naive,
-			Faults: faultSpec,
-		})
-		if err != nil {
-			log.Fatalf("%s arm: %v", arm, err)
-		}
-		rep, err := sys.Serve(trace)
-		if err != nil {
-			log.Fatalf("%s arm: %v", arm, err)
-		}
-		row := marketArm{
-			Arm:             arm,
-			Requests:        rep.Requests,
-			Completed:       rep.Completed,
-			Attainment:      rep.Attainment,
-			GeneratedTokens: rep.GeneratedTokens,
-			MeanTTFTMS:      float64(rep.MeanTTFT) / float64(time.Millisecond),
-		}
-		if m := rep.Market; m != nil {
-			row.Preemptions = m.Stats.Preemptions
-			row.Revocations = m.Stats.Revocations
-			row.EvacuatedKVBytes = m.Stats.EvacuatedKVBytes
-			row.LostKVBytes = m.Stats.LostKVBytes
-			row.RehomedPrefixBytes = m.Stats.RehomedPrefixBytes
-			for _, c := range m.Classes {
-				row.Classes = append(row.Classes, marketArmClass{
-					Class: c.Class, Devices: c.Devices,
-					CostDollars: c.CostDollars, Tokens: c.Tokens,
-					DollarsPer1KTokens: c.DollarsPer1KTokens,
-					Preemptions:        c.Preemptions,
-				})
+		int(e.horizon.Seconds()*0.4), 1%decode, int(e.horizon.Seconds()*0.7), (decode-1)%decode)
+	market := func(classes string, spot, naive bool) func(*aegaeon.Config) {
+		return func(c *aegaeon.Config) {
+			c.Models = models
+			c.Market = true
+			c.MarketClasses = classes
+			c.MarketSpot = spot
+			c.MarketNaive = naive
+			if spot {
+				c.Faults = faults
 			}
 		}
-		if rep.Fleet != nil {
-			row.CostDollars = rep.Fleet.Fleet.CostDollars
-			if rep.GeneratedTokens > 0 {
-				row.DollarsPer1KTokens = row.CostDollars / float64(rep.GeneratedTokens) * 1000
-			}
-		}
-		fmt.Printf("%-10s  %5d req  attainment %6.2f%%  lost %8.1fMB  evac %8.1fMB  $%.4f  $%.4f/1k\n",
-			arm, row.Requests, 100*row.Attainment,
-			float64(row.LostKVBytes)/(1<<20), float64(row.EvacuatedKVBytes)/(1<<20),
-			row.CostDollars, row.DollarsPer1KTokens)
-		return row
 	}
 
-	fmt.Printf("market bench      %d models on %d+%d (classes %s), %.2f req/s/model, %v horizon\n",
-		o.nModels, o.prefill, o.decode, o.classes, o.rps, o.horizon)
-	fmt.Printf("reclaim schedule  %s\n", faults)
-	reliable := serve("reliable", "H800", "", false, false)
-	naive := serve("spot_naive", o.classes, faults, true, true)
-	aware := serve("spot_aware", o.classes, faults, true, false)
-
-	result := map[string]any{
-		"bench":        "market",
-		"gpu":          o.gpu,
-		"models":       o.nModels,
-		"prefill_gpus": o.prefill,
-		"decode_gpus":  o.decode,
-		"classes":      o.classes,
-		"rps":          o.rps,
-		"horizon_s":    o.horizon.Seconds(),
-		"dataset":      o.datasetName,
-		"seed":         o.seed,
-		"reclaims":     faults,
-		"arms": map[string]marketArm{
-			"reliable":   reliable,
-			"spot_naive": naive,
-			"spot_aware": aware,
+	return bench[marketRow]{
+		env:  e,
+		name: "market",
+		header: fmt.Sprintf("market bench      %d models on %d+%d (classes %s), %.2f req/s/model, %v horizon\nreclaim schedule  %s\n",
+			e.base.NumModels, e.base.PrefillGPUs, decode, classes, e.rps, e.horizon, faults),
+		traces: map[string][]aegaeon.Request{"": trace},
+		arms: []arm{
+			{name: "reliable", apply: market("H800", false, false)},
+			{name: "spot_naive", apply: market(classes, true, true)},
+			{name: "spot_aware", apply: market(classes, true, false)},
+		},
+		row: func(a arm, _ aegaeon.Config, rep aegaeon.Report) (marketRow, string) {
+			r := marketRow{
+				Arm:             a.name,
+				Requests:        rep.Requests,
+				Completed:       rep.Completed,
+				Attainment:      rep.Attainment,
+				GeneratedTokens: rep.GeneratedTokens,
+				MeanTTFTMS:      float64(rep.MeanTTFT) / float64(time.Millisecond),
+			}
+			if m := rep.Market; m != nil {
+				r.Preemptions = m.Stats.Preemptions
+				r.Revocations = m.Stats.Revocations
+				r.EvacuatedKVBytes = m.Stats.EvacuatedKVBytes
+				r.LostKVBytes = m.Stats.LostKVBytes
+				r.RehomedPrefixBytes = m.Stats.RehomedPrefixBytes
+				for _, c := range m.Classes {
+					r.Classes = append(r.Classes, marketRowClass{
+						Class: c.Class, Devices: c.Devices,
+						CostDollars: c.CostDollars, Tokens: c.Tokens,
+						DollarsPer1KTokens: c.DollarsPer1KTokens,
+						Preemptions:        c.Preemptions,
+					})
+				}
+			}
+			if rep.Fleet != nil {
+				r.CostDollars = rep.Fleet.Fleet.CostDollars
+				if rep.GeneratedTokens > 0 {
+					r.DollarsPer1KTokens = r.CostDollars / float64(rep.GeneratedTokens) * 1000
+				}
+			}
+			return r, fmt.Sprintf("%-10s  %5d req  attainment %6.2f%%  lost %8.1fMB  evac %8.1fMB  $%.4f  $%.4f/1k",
+				a.name, r.Requests, 100*r.Attainment,
+				float64(r.LostKVBytes)/(1<<20), float64(r.EvacuatedKVBytes)/(1<<20),
+				r.CostDollars, r.DollarsPer1KTokens)
+		},
+		fields: func(rows []marketRow) map[string]any {
+			return map[string]any{
+				"classes":  classes,
+				"rps":      e.rps,
+				"reclaims": faults,
+				"arms": map[string]marketRow{
+					"reliable":   rows[0],
+					"spot_naive": rows[1],
+					"spot_aware": rows[2],
+				},
+			}
+		},
+		check: func(rows []marketRow) ([]floor, string) {
+			reliable, naive, aware := rows[0], rows[1], rows[2]
+			floors := []floor{
+				floorf(naive.Preemptions == 2 && aware.Preemptions == 2,
+					"both spot arms must see 2 preemptions (naive %d, aware %d)",
+					naive.Preemptions, aware.Preemptions),
+				floorf(naive.LostKVBytes > 0,
+					"spot_naive lost no KV — reclaims landed on idle instances, bench proves nothing"),
+				floorf(aware.EvacuatedKVBytes > 0,
+					"spot_aware evacuated no KV ahead of its deadlines"),
+				floorf(aware.LostKVBytes*2 <= naive.LostKVBytes,
+					"spot_aware lost %d KV bytes, more than half of spot_naive's %d",
+					aware.LostKVBytes, naive.LostKVBytes),
+				floorf(aware.Attainment >= naive.Attainment,
+					"spot_aware attainment %.2f%% regressed below spot_naive %.2f%%",
+					100*aware.Attainment, 100*naive.Attainment),
+				floorf(aware.DollarsPer1KTokens <= naive.DollarsPer1KTokens,
+					"spot_aware $%.4f/1k costs more than spot_naive $%.4f/1k",
+					aware.DollarsPer1KTokens, naive.DollarsPer1KTokens),
+				floorf(len(aware.Classes) > 0 && len(naive.Classes) > 0,
+					"per-class economics missing from the spot arms"),
+			}
+			for _, c := range aware.Classes {
+				floors = append(floors, floorf(c.DollarsPer1KTokens > 0,
+					"spot_aware class %s has no $-per-1k-tokens (tokens %d, cost $%.4f)",
+					c.Class, c.Tokens, c.CostDollars))
+			}
+			floors = append(floors, floorf(reliable.Preemptions == 0 && reliable.LostKVBytes == 0,
+				"reliable arm saw preemptions"))
+			return floors, fmt.Sprintf("spot_aware lost %.1fMB vs spot_naive %.1fMB (>=50%% fewer), attainment %.2f%% >= %.2f%%, $%.4f/1k <= $%.4f/1k",
+				float64(aware.LostKVBytes)/(1<<20), float64(naive.LostKVBytes)/(1<<20),
+				100*aware.Attainment, 100*naive.Attainment,
+				aware.DollarsPer1KTokens, naive.DollarsPer1KTokens)
 		},
 	}
-	data, err := json.MarshalIndent(result, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(o.out, append(data, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("bench json        %s\n", o.out)
-
-	if !o.assert {
-		return
-	}
-	failed := false
-	check := func(ok bool, format string, args ...any) {
-		if !ok {
-			failed = true
-			fmt.Printf("FAIL: "+format+"\n", args...)
-		}
-	}
-	check(naive.Preemptions == 2 && aware.Preemptions == 2,
-		"both spot arms must see 2 preemptions (naive %d, aware %d)",
-		naive.Preemptions, aware.Preemptions)
-	check(naive.LostKVBytes > 0,
-		"spot_naive lost no KV — reclaims landed on idle instances, bench proves nothing")
-	check(aware.EvacuatedKVBytes > 0,
-		"spot_aware evacuated no KV ahead of its deadlines")
-	check(aware.LostKVBytes*2 <= naive.LostKVBytes,
-		"spot_aware lost %d KV bytes, more than half of spot_naive's %d",
-		aware.LostKVBytes, naive.LostKVBytes)
-	check(aware.Attainment >= naive.Attainment,
-		"spot_aware attainment %.2f%% regressed below spot_naive %.2f%%",
-		100*aware.Attainment, 100*naive.Attainment)
-	check(aware.DollarsPer1KTokens <= naive.DollarsPer1KTokens,
-		"spot_aware $%.4f/1k costs more than spot_naive $%.4f/1k",
-		aware.DollarsPer1KTokens, naive.DollarsPer1KTokens)
-	check(len(aware.Classes) > 0 && len(naive.Classes) > 0,
-		"per-class economics missing from the spot arms")
-	for _, c := range aware.Classes {
-		check(c.DollarsPer1KTokens > 0,
-			"spot_aware class %s has no $-per-1k-tokens (tokens %d, cost $%.4f)",
-			c.Class, c.Tokens, c.CostDollars)
-	}
-	check(reliable.Preemptions == 0 && reliable.LostKVBytes == 0,
-		"reliable arm saw preemptions")
-	if failed {
-		os.Exit(1)
-	}
-	fmt.Printf("PASS: spot_aware lost %.1fMB vs spot_naive %.1fMB (>=50%% fewer), attainment %.2f%% >= %.2f%%, $%.4f/1k <= $%.4f/1k\n",
-		float64(aware.LostKVBytes)/(1<<20), float64(naive.LostKVBytes)/(1<<20),
-		100*aware.Attainment, 100*naive.Attainment,
-		aware.DollarsPer1KTokens, naive.DollarsPer1KTokens)
 }

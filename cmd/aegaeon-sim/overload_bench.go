@@ -1,14 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"log"
-	"math/rand"
-	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"aegaeon"
 	"aegaeon/internal/workload"
@@ -36,24 +31,13 @@ func parsePriorityMix(s string) (high, low float64, err error) {
 	return high, low, nil
 }
 
-type benchOpts struct {
-	gpu                 string
-	tp, prefill, decode int
-	nModels             int
-	rps                 float64
-	horizon             time.Duration
-	dataset             aegaeon.Dataset
-	datasetName         string
-	slo                 aegaeon.SLO
-	seed                int64
-	factor              float64
-	floor               float64
-	highFrac, lowFrac   float64
-	out                 string
-}
+const (
+	overloadFactor = 3.0 // load multiplier of the overloaded arms
+	overloadFloor  = 0.9 // high-priority attainment the controlled arm must hold
+)
 
-// benchArm is one row of BENCH_overload.json.
-type benchArm struct {
+// overloadRow is one arm's row of BENCH_overload.json.
+type overloadRow struct {
 	Overload          bool               `json:"overload"`
 	LoadFactor        float64            `json:"load_factor"`
 	Requests          int                `json:"requests"`
@@ -68,62 +52,39 @@ type benchArm struct {
 	Sheds             map[string]int     `json:"sheds,omitempty"`
 }
 
-// runOverloadBench serves three arms and writes BENCH_overload.json:
+// overloadBench declares the three-arm overload bench (BENCH_overload.json):
 //
 //   - capacity: the configured load at 1x, no overload control — the
 //     throughput and attainment baseline the fleet can actually sustain.
-//   - uncontrolled: the same fleet at factor x load, still no control —
-//     every tier degrades together.
-//   - controlled: the identical factor x trace with overload control on —
+//   - uncontrolled: the same fleet at 3x load, still no control — every tier
+//     degrades together.
+//   - controlled: the identical 3x trace with overload control on —
 //     high-priority attainment must hold while low tiers absorb the sheds,
 //     and goodput must stay within 10% of capacity.
 //
 // The two overloaded arms serve byte-identical traces (same requests, same
-// priorities), so any difference between them is the control plane. With
-// -overload-floor > 0 the comparison becomes an assertion and a failed
-// invariant exits nonzero.
-func runOverloadBench(o benchOpts) {
-	if o.highFrac == 0 && o.lowFrac == 0 {
+// priorities), so any difference between them is the control plane. Under
+// -assert, controlled high-priority attainment must reach the floor while
+// uncontrolled stays below it.
+func overloadBench(e benchEnv, highFrac, lowFrac float64) bench[overloadRow] {
+	if highFrac == 0 && lowFrac == 0 {
 		// The bench is about tier differentiation; default to the canonical
 		// 20/30 mix rather than silently measuring an all-normal trace.
-		o.highFrac, o.lowFrac = 0.2, 0.3
+		highFrac, lowFrac = 0.2, 0.3
+	}
+	names := modelNames(aegaeon.MarketModels(e.base.NumModels))
+	loads := map[string]float64{"1x": 1, "3x": overloadFactor}
+	traces := map[string][]aegaeon.Request{}
+	for name, factor := range loads {
+		rng := e.traceRand()
+		traces[name] = workload.PoissonTrace(rng, names, e.rps*factor, e.horizon, e.dataset)
+		workload.AssignPriorities(rng, traces[name], highFrac, lowFrac)
 	}
 
-	build := func(ovl bool) *aegaeon.System {
-		sys, err := aegaeon.New(aegaeon.Config{
-			GPU: o.gpu, TP: o.tp, PrefillGPUs: o.prefill, DecodeGPUs: o.decode,
-			NumModels: o.nModels, SLO: o.slo, Seed: o.seed, Overload: ovl,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return sys
-	}
-
-	// Traces are generated outside the systems from an independent seed so
-	// both overloaded arms serve the identical request sequence.
-	genTrace := func(rps float64) []aegaeon.Request {
-		gen := build(false)
-		names := make([]string, 0, o.nModels)
-		for _, m := range gen.Models() {
-			names = append(names, m.Name)
-		}
-		rng := rand.New(rand.NewSource(o.seed + 100))
-		trace := workload.PoissonTrace(rng, names, rps, o.horizon, o.dataset)
-		workload.AssignPriorities(rng, trace, o.highFrac, o.lowFrac)
-		return trace
-	}
-	baseTrace := genTrace(o.rps)
-	hotTrace := genTrace(o.rps * o.factor)
-
-	serve := func(label string, ovl bool, factor float64, trace []aegaeon.Request) benchArm {
-		rep, err := build(ovl).Serve(trace)
-		if err != nil {
-			log.Fatalf("%s arm: %v", label, err)
-		}
-		arm := benchArm{
-			Overload:        ovl,
-			LoadFactor:      factor,
+	row := func(a arm, cfg aegaeon.Config, rep aegaeon.Report) (overloadRow, string) {
+		r := overloadRow{
+			Overload:        cfg.Overload,
+			LoadFactor:      loads[a.trace],
 			Requests:        rep.Requests,
 			Completed:       rep.Completed,
 			Attainment:      rep.Attainment,
@@ -133,85 +94,68 @@ func runOverloadBench(o benchOpts) {
 			Transitions:     rep.OverloadTransitions,
 			ByPriority:      rep.AttainmentByPriority,
 		}
-		if o.horizon > 0 {
-			arm.ThroughputTokPerS = float64(rep.GeneratedTokens) / o.horizon.Seconds()
+		if e.horizon > 0 {
+			r.ThroughputTokPerS = float64(rep.GeneratedTokens) / e.horizon.Seconds()
 		}
 		if att, ok := rep.AttainmentByPriority["high"]; ok {
-			arm.HiPriAttainment = att
+			r.HiPriAttainment = att
 		} else {
 			// Without overload control there are no per-tier trackers; the
 			// fleet number stands in for every tier, including high.
-			arm.HiPriAttainment = rep.Attainment
+			r.HiPriAttainment = rep.Attainment
 		}
-		fmt.Printf("%-12s  %5.1fx load  %5d req  attainment %6.2f%%  hi-pri %6.2f%%  %8.1f tok/s",
-			label, factor, arm.Requests, 100*arm.Attainment, 100*arm.HiPriAttainment, arm.ThroughputTokPerS)
-		if ovl {
+		line := fmt.Sprintf("%-12s  %5.1fx load  %5d req  attainment %6.2f%%  hi-pri %6.2f%%  %8.1f tok/s",
+			a.name, r.LoadFactor, r.Requests, 100*r.Attainment, 100*r.HiPriAttainment, r.ThroughputTokPerS)
+		if cfg.Overload {
 			total := 0
-			for _, n := range arm.Sheds {
+			for _, n := range r.Sheds {
 				total += n
 			}
-			fmt.Printf("  level %s, %d sheds", arm.OverloadLevel, total)
+			line += fmt.Sprintf("  level %s, %d sheds", r.OverloadLevel, total)
 		}
-		fmt.Println()
-		return arm
+		return r, line
 	}
 
-	fmt.Printf("overload bench    %d models on %d+%d %s, %.2f req/s/model base, %v horizon, %.0f/%.0f%% high/low tiers\n",
-		o.nModels, o.prefill, o.decode, o.gpu, o.rps, o.horizon, 100*o.highFrac, 100*o.lowFrac)
-	capacity := serve("capacity", false, 1, baseTrace)
-	uncontrolled := serve("uncontrolled", false, o.factor, hotTrace)
-	controlled := serve("controlled", true, o.factor, hotTrace)
-
-	result := map[string]any{
-		"bench":         "overload",
-		"gpu":           o.gpu,
-		"models":        o.nModels,
-		"prefill_gpus":  o.prefill,
-		"decode_gpus":   o.decode,
-		"rps_per_model": o.rps,
-		"horizon_s":     o.horizon.Seconds(),
-		"dataset":       o.datasetName,
-		"seed":          o.seed,
-		"factor":        o.factor,
-		"floor":         o.floor,
-		"high_frac":     o.highFrac,
-		"low_frac":      o.lowFrac,
-		"capacity":      capacity,
-		"uncontrolled":  uncontrolled,
-		"controlled":    controlled,
+	return bench[overloadRow]{
+		env:   e,
+		name:  "overload",
+		floor: overloadFloor,
+		header: fmt.Sprintf("overload bench    %d models on %d+%d %s, %.2f req/s/model base, %v horizon, %.0f/%.0f%% high/low tiers\n",
+			e.base.NumModels, e.base.PrefillGPUs, e.base.DecodeGPUs, e.base.GPU, e.rps, e.horizon, 100*highFrac, 100*lowFrac),
+		traces: traces,
+		arms: []arm{
+			{name: "capacity", trace: "1x"},
+			{name: "uncontrolled", trace: "3x"},
+			{name: "controlled", trace: "3x", apply: func(c *aegaeon.Config) { c.Overload = true }},
+		},
+		row: row,
+		fields: func(rows []overloadRow) map[string]any {
+			return map[string]any{
+				"rps_per_model": e.rps,
+				"factor":        overloadFactor,
+				"high_frac":     highFrac,
+				"low_frac":      lowFrac,
+				"capacity":      rows[0],
+				"uncontrolled":  rows[1],
+				"controlled":    rows[2],
+			}
+		},
+		check: func(rows []overloadRow) ([]floor, string) {
+			capacity, uncontrolled, controlled := rows[0], rows[1], rows[2]
+			floors := []floor{
+				floorf(controlled.HiPriAttainment >= overloadFloor,
+					"controlled hi-pri attainment %.2f%% below floor %.2f%%",
+					100*controlled.HiPriAttainment, 100*overloadFloor),
+				floorf(uncontrolled.HiPriAttainment < overloadFloor,
+					"uncontrolled hi-pri attainment %.2f%% already above floor %.2f%% — the overload is not overloading",
+					100*uncontrolled.HiPriAttainment, 100*overloadFloor),
+				floorf(controlled.ThroughputTokPerS >= 0.9*capacity.ThroughputTokPerS,
+					"controlled throughput %.1f tok/s below 90%% of capacity %.1f tok/s",
+					controlled.ThroughputTokPerS, capacity.ThroughputTokPerS),
+			}
+			return floors, fmt.Sprintf("hi-pri %.2f%% >= %.2f%% under control (vs %.2f%% uncontrolled), throughput %.1f/%.1f tok/s",
+				100*controlled.HiPriAttainment, 100*overloadFloor, 100*uncontrolled.HiPriAttainment,
+				controlled.ThroughputTokPerS, capacity.ThroughputTokPerS)
+		},
 	}
-	data, err := json.MarshalIndent(result, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(o.out, append(data, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("bench json        %s\n", o.out)
-
-	if o.floor <= 0 {
-		return
-	}
-	failed := false
-	check := func(ok bool, format string, args ...any) {
-		if !ok {
-			failed = true
-			fmt.Printf("FAIL: "+format+"\n", args...)
-		}
-	}
-	check(controlled.HiPriAttainment >= o.floor,
-		"controlled hi-pri attainment %.2f%% below floor %.2f%%",
-		100*controlled.HiPriAttainment, 100*o.floor)
-	check(uncontrolled.HiPriAttainment < o.floor,
-		"uncontrolled hi-pri attainment %.2f%% already above floor %.2f%% — the overload is not overloading",
-		100*uncontrolled.HiPriAttainment, 100*o.floor)
-	check(controlled.ThroughputTokPerS >= 0.9*capacity.ThroughputTokPerS,
-		"controlled throughput %.1f tok/s below 90%% of capacity %.1f tok/s",
-		controlled.ThroughputTokPerS, capacity.ThroughputTokPerS)
-	if failed {
-		os.Exit(1)
-	}
-	fmt.Printf("PASS: hi-pri %.2f%% >= %.2f%% under control (vs %.2f%% uncontrolled), throughput %.1f/%.1f tok/s\n",
-		100*controlled.HiPriAttainment, 100*o.floor, 100*uncontrolled.HiPriAttainment,
-		controlled.ThroughputTokPerS, capacity.ThroughputTokPerS)
 }

@@ -1,33 +1,19 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"log"
-	"math/rand"
-	"os"
 	"time"
 
 	"aegaeon"
 	"aegaeon/internal/workload"
 )
 
-type prefixBenchOpts struct {
-	gpu                 string
-	tp, prefill, decode int
-	nModels             int
-	rate                float64
-	horizon             time.Duration
-	dataset             aegaeon.Dataset
-	datasetName         string
-	slo                 aegaeon.SLO
-	seed                int64
-	floor               float64
-	out                 string
-}
+// prefixFloor is the share of sharedprompt prefill tokens the cache_routing
+// arm must save.
+const prefixFloor = 0.3
 
-// prefixArm is one (workload, arm) row of BENCH_prefix.json.
-type prefixArm struct {
+// prefixRow is one (workload, arm) row of BENCH_prefix.json.
+type prefixRow struct {
 	Arm         string  `json:"arm"` // nocache | cache | cache_routing
 	Requests    int     `json:"requests"`
 	Completed   int     `json:"completed"`
@@ -40,153 +26,107 @@ type prefixArm struct {
 	Promotions  uint64  `json:"promotions,omitempty"`
 }
 
-// runPrefixBench serves each prefix-heavy workload (multi-turn chat, agentic
-// tool loops, shared-system-prompt tenants) on three arms over byte-identical
-// traces:
+// prefixBench declares the prefix bench (BENCH_prefix.json): each
+// prefix-heavy workload (multi-turn chat, agentic tool loops,
+// shared-system-prompt tenants) on three arms over byte-identical traces:
 //
 //   - nocache: the prefix cache off — every turn recomputes its full context.
 //   - cache: the global prefix cache on, load-balanced routing unchanged.
 //   - cache_routing: the cache plus cache-aware prefill routing, steering
 //     turns toward the instance holding their chain's device copies.
 //
-// With -prefix-floor > 0 the comparison becomes an assertion: the
-// cache_routing arm must save at least the floor fraction of prefill tokens
-// on the sharedprompt trace, strictly dominate nocache on tokens saved and
-// mean TTFT on every workload, and not regress attainment.
-func runPrefixBench(o prefixBenchOpts) {
-	type wl struct {
-		name    string
-		kind    aegaeon.WorkloadKind
-		rate    float64 // per-model; sessions (multiturn), tasks (agentic), req (sharedprompt)
-		sysToks int
+// Under -assert the cache_routing arm must save at least the floor fraction
+// of prefill tokens on the sharedprompt trace, strictly dominate nocache on
+// tokens saved and mean TTFT on every workload, and not regress attainment.
+func prefixBench(e benchEnv) bench[prefixRow] {
+	names := modelNames(aegaeon.MarketModels(e.base.NumModels))
+	// Rates are per model: sessions (multiturn), tasks (agentic), requests
+	// (sharedprompt).
+	workloads := []string{"multiturn", "agentic", "sharedprompt"}
+	traces := map[string][]aegaeon.Request{
+		"multiturn": workload.MultiTurnTrace(e.traceRand(), names, e.rps, e.horizon, e.dataset,
+			workload.MultiTurnConfig{SystemPromptTokens: 128}),
+		"agentic": workload.AgenticTrace(e.traceRand(), names, e.rps*0.6, e.horizon, e.dataset,
+			workload.AgenticConfig{SystemPromptTokens: 512}),
+		"sharedprompt": workload.SharedPrefixTrace(e.traceRand(), names, e.rps*2, e.horizon, 2048, e.dataset),
 	}
-	workloads := []wl{
-		{name: "multiturn", kind: aegaeon.MultiTurn, rate: o.rate, sysToks: 128},
-		{name: "agentic", kind: aegaeon.Agentic, rate: o.rate * 0.6, sysToks: 512},
-		{name: "sharedprompt", kind: aegaeon.SharedPrompt, rate: o.rate * 2, sysToks: 2048},
-	}
-
-	build := func(cache, routing bool) *aegaeon.System {
-		sys, err := aegaeon.New(aegaeon.Config{
-			GPU: o.gpu, TP: o.tp, PrefillGPUs: o.prefill, DecodeGPUs: o.decode,
-			NumModels: o.nModels, SLO: o.slo, Seed: o.seed,
-			PrefixCache: cache, PrefixRouting: routing,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return sys
-	}
-
-	// Traces are generated outside the systems from an independent seed so
-	// all three arms of a workload serve the identical request sequence.
-	genTrace := func(w wl) []aegaeon.Request {
-		gen := build(false, false)
-		names := make([]string, 0, o.nModels)
-		for _, m := range gen.Models() {
-			names = append(names, m.Name)
-		}
-		rng := rand.New(rand.NewSource(o.seed + 100))
-		switch w.kind {
-		case aegaeon.MultiTurn:
-			return workload.MultiTurnTrace(rng, names, w.rate, o.horizon, o.dataset,
-				workload.MultiTurnConfig{SystemPromptTokens: w.sysToks})
-		case aegaeon.Agentic:
-			return workload.AgenticTrace(rng, names, w.rate, o.horizon, o.dataset,
-				workload.AgenticConfig{SystemPromptTokens: w.sysToks})
-		default:
-			return workload.SharedPrefixTrace(rng, names, w.rate, o.horizon, w.sysToks, o.dataset)
-		}
-	}
-
-	serve := func(w wl, arm string, cache, routing bool, trace []aegaeon.Request) prefixArm {
-		rep, err := build(cache, routing).Serve(trace)
-		if err != nil {
-			log.Fatalf("%s/%s arm: %v", w.name, arm, err)
-		}
-		row := prefixArm{
-			Arm:        arm,
-			Requests:   rep.Requests,
-			Completed:  rep.Completed,
-			Attainment: rep.Attainment,
-			MeanTTFTMS: float64(rep.MeanTTFT) / float64(time.Millisecond),
-			TTFTP99MS:  float64(rep.TTFTP99) / float64(time.Millisecond),
-		}
-		if rep.Prefix != nil {
-			row.HitRatio = rep.Prefix.HitRatio()
-			row.SavedRatio = rep.Prefix.SavedRatio()
-			row.TokensSaved = rep.Prefix.TokensSaved
-			row.Promotions = rep.Prefix.Promotions
-		}
-		fmt.Printf("%-12s  %-13s  %5d req  attainment %6.2f%%  mean TTFT %8.1fms  hit %5.1f%%  saved %5.1f%%\n",
-			w.name, arm, row.Requests, 100*row.Attainment, row.MeanTTFTMS,
-			100*row.HitRatio, 100*row.SavedRatio)
-		return row
-	}
-
-	fmt.Printf("prefix bench      %d models on %d+%d %s, %.3f sess/s/model, %v horizon\n",
-		o.nModels, o.prefill, o.decode, o.gpu, o.rate, o.horizon)
-	perWorkload := map[string]map[string]prefixArm{}
+	var arms []arm
 	for _, w := range workloads {
-		trace := genTrace(w)
-		perWorkload[w.name] = map[string]prefixArm{
-			"nocache":       serve(w, "nocache", false, false, trace),
-			"cache":         serve(w, "cache", true, false, trace),
-			"cache_routing": serve(w, "cache_routing", true, true, trace),
+		arms = append(arms,
+			arm{name: "nocache", trace: w},
+			arm{name: "cache", trace: w, apply: func(c *aegaeon.Config) { c.PrefixCache = true }},
+			arm{name: "cache_routing", trace: w, apply: func(c *aegaeon.Config) {
+				c.PrefixCache = true
+				c.PrefixRouting = true
+			}},
+		)
+	}
+	// byWorkload groups the rows as the JSON nests them: workload -> arm.
+	byWorkload := func(rows []prefixRow) map[string]map[string]prefixRow {
+		out := map[string]map[string]prefixRow{}
+		for i, a := range arms {
+			if out[a.trace] == nil {
+				out[a.trace] = map[string]prefixRow{}
+			}
+			out[a.trace][a.name] = rows[i]
 		}
+		return out
 	}
 
-	result := map[string]any{
-		"bench":        "prefix",
-		"gpu":          o.gpu,
-		"models":       o.nModels,
-		"prefill_gpus": o.prefill,
-		"decode_gpus":  o.decode,
-		"rate":         o.rate,
-		"horizon_s":    o.horizon.Seconds(),
-		"dataset":      o.datasetName,
-		"seed":         o.seed,
-		"floor":        o.floor,
-		"workloads":    perWorkload,
+	return bench[prefixRow]{
+		env:   e,
+		name:  "prefix",
+		floor: prefixFloor,
+		header: fmt.Sprintf("prefix bench      %d models on %d+%d %s, %.3f sess/s/model, %v horizon\n",
+			e.base.NumModels, e.base.PrefillGPUs, e.base.DecodeGPUs, e.base.GPU, e.rps, e.horizon),
+		traces: traces,
+		arms:   arms,
+		row: func(a arm, _ aegaeon.Config, rep aegaeon.Report) (prefixRow, string) {
+			r := prefixRow{
+				Arm:        a.name,
+				Requests:   rep.Requests,
+				Completed:  rep.Completed,
+				Attainment: rep.Attainment,
+				MeanTTFTMS: float64(rep.MeanTTFT) / float64(time.Millisecond),
+				TTFTP99MS:  float64(rep.TTFTP99) / float64(time.Millisecond),
+			}
+			if rep.Prefix != nil {
+				r.HitRatio = rep.Prefix.HitRatio()
+				r.SavedRatio = rep.Prefix.SavedRatio()
+				r.TokensSaved = rep.Prefix.TokensSaved
+				r.Promotions = rep.Prefix.Promotions
+			}
+			return r, fmt.Sprintf("%-12s  %-13s  %5d req  attainment %6.2f%%  mean TTFT %8.1fms  hit %5.1f%%  saved %5.1f%%",
+				a.trace, a.name, r.Requests, 100*r.Attainment, r.MeanTTFTMS,
+				100*r.HitRatio, 100*r.SavedRatio)
+		},
+		fields: func(rows []prefixRow) map[string]any {
+			return map[string]any{
+				"rate":      e.rps,
+				"workloads": byWorkload(rows),
+			}
+		},
+		check: func(rows []prefixRow) ([]floor, string) {
+			perWorkload := byWorkload(rows)
+			var floors []floor
+			for _, w := range workloads {
+				no, cr := perWorkload[w]["nocache"], perWorkload[w]["cache_routing"]
+				floors = append(floors,
+					floorf(cr.TokensSaved > 0,
+						"%s: cache_routing saved no prefill tokens", w),
+					floorf(cr.MeanTTFTMS < no.MeanTTFTMS,
+						"%s: cache_routing mean TTFT %.1fms not below nocache %.1fms",
+						w, cr.MeanTTFTMS, no.MeanTTFTMS),
+					floorf(cr.Attainment >= no.Attainment,
+						"%s: cache_routing attainment %.2f%% regressed below nocache %.2f%%",
+						w, 100*cr.Attainment, 100*no.Attainment))
+			}
+			sp := perWorkload["sharedprompt"]["cache_routing"]
+			floors = append(floors, floorf(sp.SavedRatio >= prefixFloor,
+				"sharedprompt cache_routing saved %.1f%% of prefill tokens, floor is %.1f%%",
+				100*sp.SavedRatio, 100*prefixFloor))
+			return floors, fmt.Sprintf("sharedprompt saved %.1f%% >= %.1f%%, cache_routing dominates nocache on TTFT and savings on all %d workloads",
+				100*sp.SavedRatio, 100*prefixFloor, len(workloads))
+		},
 	}
-	data, err := json.MarshalIndent(result, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(o.out, append(data, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("bench json        %s\n", o.out)
-
-	if o.floor <= 0 {
-		return
-	}
-	failed := false
-	check := func(ok bool, format string, args ...any) {
-		if !ok {
-			failed = true
-			fmt.Printf("FAIL: "+format+"\n", args...)
-		}
-	}
-	for _, w := range workloads {
-		arms := perWorkload[w.name]
-		no, cr := arms["nocache"], arms["cache_routing"]
-		check(cr.TokensSaved > 0,
-			"%s: cache_routing saved no prefill tokens", w.name)
-		check(cr.MeanTTFTMS < no.MeanTTFTMS,
-			"%s: cache_routing mean TTFT %.1fms not below nocache %.1fms",
-			w.name, cr.MeanTTFTMS, no.MeanTTFTMS)
-		check(cr.Attainment >= no.Attainment,
-			"%s: cache_routing attainment %.2f%% regressed below nocache %.2f%%",
-			w.name, 100*cr.Attainment, 100*no.Attainment)
-	}
-	sp := perWorkload["sharedprompt"]["cache_routing"]
-	check(sp.SavedRatio >= o.floor,
-		"sharedprompt cache_routing saved %.1f%% of prefill tokens, floor is %.1f%%",
-		100*sp.SavedRatio, 100*o.floor)
-	if failed {
-		os.Exit(1)
-	}
-	fmt.Printf("PASS: sharedprompt saved %.1f%% >= %.1f%%, cache_routing dominates nocache on TTFT and savings on all %d workloads\n",
-		100*sp.SavedRatio, 100*o.floor, len(workloads))
 }
