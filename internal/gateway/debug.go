@@ -108,19 +108,13 @@ func (g *Gateway) handleDebugGPUs(w http.ResponseWriter, r *http.Request) {
 		}
 		window = d
 	}
-	// Occupant models and the virtual clock live in simulation-core state:
-	// snapshot them on the event loop.
+	// Occupant models and the virtual clock live in simulation-core state.
 	var infos []cluster.GPUInfo
 	var virtual time.Duration
-	err := g.drv.Call(func() {
+	g.readSim(func() {
 		virtual = g.cl.VirtualNow()
 		infos = g.cl.GPUInfos()
 	})
-	if err != nil {
-		g.mu.Lock()
-		virtual = g.lastVirtual
-		g.mu.Unlock()
-	}
 	utils := g.opts.Obs.Utilizations(virtual, window)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"aegaeon/internal/cluster"
 	"aegaeon/internal/decision"
@@ -131,6 +132,36 @@ func TestDebugWhyEndpoint(t *testing.T) {
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusNotFound {
 		t.Fatalf("/debug/why/nope: status %d, want 404", w.Code)
+	}
+}
+
+// TestEdgeAdmissionRecordAtVirtualTime: the gateway's edge admission record
+// is stamped with the driver's virtual clock, not a time last refreshed by a
+// scrape. With no scrape at all it still lies after 0 and no later than the
+// same request's prefill routing, which the event loop records after it.
+func TestEdgeAdmissionRecordAtVirtualTime(t *testing.T) {
+	gw, names := newDecisionGateway(t, Options{Speedup: 1000})
+	defer gw.Shutdown(context.Background())
+	time.Sleep(20 * time.Millisecond) // let the virtual clock run well past 0
+	body := fmt.Sprintf(`{"model":%q,"input_tokens":64,"max_tokens":2}`, names[0])
+	if w := postCompletion(gw.Handler(), body); w.Code != http.StatusOK {
+		t.Fatalf("completion: status %d: %s", w.Code, w.Body.String())
+	}
+	var edge, routing *decision.Record
+	for _, r := range gw.opts.Decisions.Chain("cmpl-1") {
+		r := r
+		switch {
+		case r.Kind == decision.KindAdmission && r.Reason == "gateway edge admission":
+			edge = &r
+		case r.Kind == decision.KindPrefillRouting && routing == nil:
+			routing = &r
+		}
+	}
+	if edge == nil || routing == nil {
+		t.Fatalf("chain lacks an edge admission (%v) or prefill routing (%v) record", edge, routing)
+	}
+	if edge.At <= 0 || edge.At > routing.At {
+		t.Fatalf("edge admission at %v, want in (0, %v] (prefill routing)", edge.At, routing.At)
 	}
 }
 

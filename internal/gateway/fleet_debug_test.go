@@ -7,14 +7,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"aegaeon/internal/cluster"
 	"aegaeon/internal/fleetobs"
 	"aegaeon/internal/latency"
+	"aegaeon/internal/metastore"
 	"aegaeon/internal/model"
+	"aegaeon/internal/obs"
+	"aegaeon/internal/prefixcache"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
+	"aegaeon/internal/slomon"
 )
 
 // newFleetGateway builds a live cluster with the fleet utilization ledger
@@ -124,37 +129,168 @@ func TestDebugFleetEndpoint(t *testing.T) {
 	}
 }
 
-// TestDebugFleetAfterShutdown: once the driver has stopped, /debug/fleet is
-// still served, from the final simulation state, and still conserves.
-func TestDebugFleetAfterShutdown(t *testing.T) {
-	gw, names := newFleetGateway(t, Options{Speedup: 50000})
-	h := gw.Handler()
-	body := fmt.Sprintf(`{"model":%q,"input_tokens":128,"max_tokens":4}`, names[0])
-	if w := postCompletion(h, body); w.Code != http.StatusOK {
-		t.Fatalf("completion: status %d: %s", w.Code, w.Body.String())
+// newFullGateway is newFleetGateway with every simulation-state reader
+// configured: an obs collector (/debug/gpus), a live SLO monitor (/debug/slo)
+// and the prefix cache (/debug/prefix), beside the always-present store.
+func newFullGateway(t testing.TB, opts Options) (*Gateway, []string) {
+	t.Helper()
+	prof, err := latency.ProfileByName("H800")
+	if err != nil {
+		t.Fatal(err)
 	}
+	models := model.MarketMix(4)
+	se := sim.NewEngine(1)
+	col := obs.New(obs.Options{})
+	opts.Obs = col
+	opts.SLOMon = slomon.New(slomon.Config{Objective: 0.99, Source: col})
+	opts.Fleet = fleetobs.New(se)
+	cl, err := cluster.New(se, cluster.Config{
+		Prof:   prof,
+		SLO:    slo.Default(),
+		Obs:    col,
+		SLOMon: opts.SLOMon,
+		Deployments: []cluster.DeploymentConfig{{
+			Name: "live", TP: 1, NumPrefill: 2, NumDecode: 2, Models: models,
+		}},
+		Fleet:  opts.Fleet,
+		Prefix: &prefixcache.Config{Routing: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := New(sim.NewDriver(se, opts.Speedup), cl, opts)
+	gw.Start()
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.Name
+	}
+	return gw, names
+}
+
+// TestDebugFleetAfterShutdown: once the driver has stopped, every endpoint
+// that reads simulation state still answers 200, from the final simulation
+// state at the final virtual time, alone and under concurrent scrapes.
+func TestDebugFleetAfterShutdown(t *testing.T) {
+	gw, names := newFullGateway(t, Options{Speedup: 50000})
+	h := gw.Handler()
+	runSession(t, h, names[0], "chat-1", 3, 256)
 	if err := gw.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/fleet", nil))
-	if w.Code != http.StatusOK {
-		t.Fatalf("/debug/fleet after shutdown: status %d: %s", w.Code, w.Body.String())
+	// The loop has exited: the cluster can be read directly for the truth.
+	final := gw.cl.VirtualNow().Seconds()
+	prefix := gw.cl.PrefixCaches()["live"].Stats()
+	store := gw.cl.StoreView()
+	if final <= 0 || prefix.Lookups == 0 {
+		t.Fatalf("nothing served before shutdown: final %vs, %d prefix lookups", final, prefix.Lookups)
 	}
-	var snap fleetobs.Snapshot
-	if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("bad JSON: %v", err)
+
+	decode := func(t *testing.T, body []byte, v any) {
+		t.Helper()
+		if err := json.Unmarshal(body, v); err != nil {
+			t.Fatalf("bad JSON: %v", err)
+		}
 	}
-	if len(snap.ConservationErrors) > 0 {
-		t.Fatalf("conservation violated after shutdown: %v", snap.ConservationErrors)
+	atFinal := func(t *testing.T, what string, got float64) {
+		t.Helper()
+		if got != final {
+			t.Errorf("%s = %v, want the final virtual time %v", what, got, final)
+		}
 	}
-	var compute float64
-	for _, d := range snap.Devices {
-		compute += d.RawComputeBusyS
+	cases := []struct {
+		path  string
+		check func(t *testing.T, body []byte)
+	}{
+		{"/metrics", func(t *testing.T, body []byte) {
+			want := fmt.Sprintf("aegaeon_gateway_virtual_time_seconds %g\n", final)
+			if !strings.Contains(string(body), want) {
+				t.Errorf("/metrics lacks %q", want)
+			}
+			want = fmt.Sprintf("aegaeon_prefix_lookups_total{model=%q} %d\n", names[0], prefix.Lookups)
+			if !strings.Contains(string(body), want) {
+				t.Errorf("/metrics lacks %q", want)
+			}
+		}},
+		{"/debug/fleet", func(t *testing.T, body []byte) {
+			var snap fleetobs.Snapshot
+			decode(t, body, &snap)
+			atFinal(t, "now_s", snap.NowSeconds)
+			if len(snap.ConservationErrors) > 0 {
+				t.Errorf("conservation violated after shutdown: %v", snap.ConservationErrors)
+			}
+			var compute float64
+			for _, d := range snap.Devices {
+				compute += d.RawComputeBusyS
+			}
+			if compute <= 0 {
+				t.Error("no raw compute busy time after serving completions")
+			}
+		}},
+		{"/debug/gpus", func(t *testing.T, body []byte) {
+			var out struct {
+				VirtualTimeS float64           `json:"virtual_time_s"`
+				Instances    []json.RawMessage `json:"instances"`
+			}
+			decode(t, body, &out)
+			atFinal(t, "virtual_time_s", out.VirtualTimeS)
+			if len(out.Instances) != 4 {
+				t.Errorf("%d instances, want 4", len(out.Instances))
+			}
+		}},
+		{"/debug/slo", func(t *testing.T, body []byte) {
+			var snap slomon.Snapshot
+			decode(t, body, &snap)
+			atFinal(t, "now_s", snap.NowSeconds)
+			if c := snap.Fleet.Cumulative; c == nil || c.Requests != 3 {
+				t.Errorf("fleet cumulative block %+v, want the 3 served requests", c)
+			}
+		}},
+		{"/debug/prefix", func(t *testing.T, body []byte) {
+			var out struct{ Deployments []prefixDebug }
+			decode(t, body, &out)
+			d := out.Deployments
+			if len(d) != 1 || d[0].Lookups != prefix.Lookups || d[0].TokensSaved != prefix.TokensSaved {
+				t.Errorf("prefix debug %+v, want final lookups %d, tokens saved %d",
+					d, prefix.Lookups, prefix.TokensSaved)
+			}
+		}},
+		{"/debug/metastore", func(t *testing.T, body []byte) {
+			var view metastore.ControlView
+			decode(t, body, &view)
+			if view.Gets != store.Gets || view.Sets != store.Sets || view.Gets+view.Sets == 0 {
+				t.Errorf("store view gets/sets %d/%d, want final %d/%d",
+					view.Gets, view.Sets, store.Gets, store.Sets)
+			}
+		}},
 	}
-	if compute <= 0 {
-		t.Fatal("no raw compute busy time after serving a completion")
+	scrape := func(t *testing.T, path string, check func(*testing.T, []byte)) {
+		w := get(h, path)
+		if w.Code != http.StatusOK {
+			t.Errorf("%s after shutdown: status %d: %s", path, w.Code, w.Body.String())
+			return
+		}
+		check(t, w.Body.Bytes())
 	}
+	for _, tc := range cases {
+		t.Run(strings.TrimPrefix(tc.path, "/"), func(t *testing.T) {
+			scrape(t, tc.path, tc.check)
+		})
+	}
+	// Post-stop reads run off the loop, so two scrapes may read the final
+	// state at once; run under -race this shows any reader that writes.
+	t.Run("concurrent", func(t *testing.T) {
+		var wg sync.WaitGroup
+		for _, tc := range cases {
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func(path string, check func(*testing.T, []byte)) {
+					defer wg.Done()
+					scrape(t, path, check)
+				}(tc.path, tc.check)
+			}
+		}
+		wg.Wait()
+	})
 }
 
 // TestMetricsFleetExposition is the exposition regression test for the

@@ -28,7 +28,6 @@ import (
 	"aegaeon/internal/fault"
 	"aegaeon/internal/fleetobs"
 	"aegaeon/internal/market"
-	"aegaeon/internal/metastore"
 	"aegaeon/internal/metrics"
 	"aegaeon/internal/obs"
 	"aegaeon/internal/overload"
@@ -230,11 +229,6 @@ type Gateway struct {
 	ovlRejected    map[string]uint64 // overload rejection reason -> count
 	brownStop      chan struct{}
 	brownOnce      sync.Once
-
-	// Snapshot cache for /metrics after the driver has stopped.
-	lastSwitches  uint64
-	lastVirtual   time.Duration
-	lastStoreView *metastore.ControlView
 
 	ttft *metrics.SafeCDF
 	tbt  *metrics.SafeCDF
@@ -591,10 +585,10 @@ func (g *Gateway) admitRequest(id, model string, prio workload.Priority, inTok, 
 // evidence the decision actually weighed: occupancy, the per-priority queue
 // depth ahead of the request, and — when overload control is on — the TTFT
 // estimate with its switch-cost and throughput inputs against the target.
-// The timestamp is the last virtual-clock snapshot the wall-clock HTTP path
-// has seen (best effort: edge admissions run off the event loop, so they are
-// excluded from the byte-identical determinism contract). Must be called
-// with g.mu held.
+// The timestamp is the driver's wall-mapped virtual clock, the instant the
+// event loop reaches before it runs the admitted request (edge admissions run
+// off the loop, so they are excluded from the byte-identical determinism
+// contract). Must be called with g.mu held.
 func (g *Gateway) journalAdmissionLocked(j *decision.Journal, id, model string,
 	prio workload.Priority, inTok int, outcome string, estTTFT time.Duration) {
 	inputs := []decision.Term{
@@ -615,7 +609,7 @@ func (g *Gateway) journalAdmissionLocked(j *decision.Journal, id, model string,
 		}
 	}
 	j.Record(decision.Record{
-		At:      sim.Time(g.lastVirtual),
+		At:      g.drv.VirtualNow(),
 		Kind:    decision.KindAdmission,
 		Request: id,
 		Model:   model,

@@ -10,29 +10,15 @@ import (
 // handleDebugMetastore serves GET /debug/metastore: the control-plane
 // snapshot — store mode (single or replicated), and in replicated mode the
 // per-replica role/term/commit/applied state, the current leader, leader
-// changes, and the cumulative op counters. The view is read on the event
-// loop; after the driver stops, the last snapshot taken is served, matching
-// the other debug endpoints' post-drain behavior.
+// changes, and the cumulative op counters. The view is read through readSim,
+// so after the driver stops it shows the final store state.
 func (g *Gateway) handleDebugMetastore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSONError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	var view metastore.ControlView
-	if err := g.drv.Call(func() { view = g.cl.StoreView() }); err != nil {
-		g.mu.Lock()
-		cached := g.lastStoreView
-		g.mu.Unlock()
-		if cached == nil {
-			writeJSONError(w, http.StatusServiceUnavailable, "driver stopped before a store view was taken")
-			return
-		}
-		view = *cached
-	} else {
-		g.mu.Lock()
-		g.lastStoreView = &view
-		g.mu.Unlock()
-	}
+	g.readSim(func() { view = g.cl.StoreView() })
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(view)
 }

@@ -38,25 +38,20 @@ type prefixDebug struct {
 // handleDebugPrefix serves GET /debug/prefix: per-deployment prefix-cache
 // statistics (hit ratio, tokens saved, tier residency, eviction/promotion
 // activity). 404 when no deployment has a prefix cache configured. Stats are
-// snapshotted on the event loop since the cache mutates from the simulation
-// goroutine.
+// read through readSim since the cache mutates from the simulation goroutine.
 func (g *Gateway) handleDebugPrefix(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSONError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	var snaps map[string]prefixcache.Stats
-	err := g.drv.Call(func() {
+	g.readSim(func() {
 		caches := g.cl.PrefixCaches()
 		snaps = make(map[string]prefixcache.Stats, len(caches))
 		for name, pc := range caches {
 			snaps[name] = pc.Stats()
 		}
 	})
-	if err != nil {
-		writeJSONError(w, http.StatusServiceUnavailable, "simulation stopped: %v", err)
-		return
-	}
 	if len(snaps) == 0 {
 		writeJSONError(w, http.StatusNotFound, "prefix cache disabled (no deployment configured with one)")
 		return

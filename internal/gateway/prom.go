@@ -21,8 +21,8 @@ import (
 // handleMetrics renders Prometheus text exposition format (hand-rolled; the
 // repo deliberately has no dependencies). Simulation-side counters (model
 // switches, virtual clock) are snapshotted on the event-loop goroutine via
-// a synchronous driver call; once the driver has stopped, the last
-// successful snapshot is served.
+// a synchronous driver call; once the driver has stopped, they are read from
+// the final simulation state (see readSim).
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSONError(w, http.StatusMethodNotAllowed, "GET only")
@@ -35,7 +35,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var fs fault.Stats
 	var failovers int
 	var prefixSnaps map[string]prefixcache.Stats
-	err := g.drv.Call(func() {
+	g.readSim(func() {
 		switches = g.cl.Switches()
 		virtual = g.cl.VirtualNow()
 		storeGets, storeSets, storeDeletes = g.cl.Store().Ops()
@@ -51,16 +51,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	})
 	g.mu.Lock()
-	if err == nil {
-		g.lastSwitches, g.lastVirtual = switches, virtual
-		v := storeView
-		g.lastStoreView = &v
-	} else {
-		switches, virtual = g.lastSwitches, g.lastVirtual
-		if g.lastStoreView != nil {
-			storeView = *g.lastStoreView
-		}
-	}
 	inflight := g.inflight
 	admitted := g.admitted
 	completed := g.completed

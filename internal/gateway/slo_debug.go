@@ -30,19 +30,14 @@ func (g *Gateway) sloMonitorOr404(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// sloSnapshot renders the monitor at the current virtual time (last known
-// time once the driver has stopped), with cumulative blocks from the
-// deployments' SLO ledgers.
-func (g *Gateway) sloSnapshot() *slomon.Snapshot {
-	var virtual time.Duration
-	err := g.drv.Call(func() { virtual = g.cl.VirtualNow() })
-	if err != nil {
-		g.mu.Lock()
-		virtual = g.lastVirtual
-		g.mu.Unlock()
-	}
-	snap := g.opts.SLOMon.Snapshot(virtual)
-	g.cl.AttachCumulative(snap)
+// sloSnapshot renders the monitor at the current virtual time, with
+// cumulative blocks from the deployments' SLO ledgers, which the event loop
+// writes.
+func (g *Gateway) sloSnapshot() (snap *slomon.Snapshot) {
+	g.readSim(func() {
+		snap = g.opts.SLOMon.Snapshot(g.cl.VirtualNow())
+		g.cl.AttachCumulative(snap)
+	})
 	return snap
 }
 

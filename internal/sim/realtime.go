@@ -138,8 +138,10 @@ func (d *Driver) takePending() []func() {
 	return fns
 }
 
-// virtualNow maps the current wall clock onto virtual time.
-func (d *Driver) virtualNow() Time {
+// VirtualNow maps the current wall clock onto virtual time: the instant the
+// loop will have advanced to before it runs anything posted now. It is safe
+// for concurrent use once Start has returned, and reads no engine state.
+func (d *Driver) VirtualNow() Time {
 	return d.startVirt + Time(float64(time.Since(d.startWall))*d.speedup)
 }
 
@@ -157,7 +159,7 @@ func (d *Driver) advance() {
 		d.eng.Run()
 		return
 	}
-	if v := d.virtualNow(); v > d.eng.Now() {
+	if v := d.VirtualNow(); v > d.eng.Now() {
 		d.eng.RunUntil(v)
 	}
 }
