@@ -149,7 +149,6 @@ func TestEdgeAdmissionRecordAtVirtualTime(t *testing.T) {
 	}
 	var edge, routing *decision.Record
 	for _, r := range gw.opts.Decisions.Chain("cmpl-1") {
-		r := r
 		switch {
 		case r.Kind == decision.KindAdmission && r.Reason == "gateway edge admission":
 			edge = &r

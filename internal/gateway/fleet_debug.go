@@ -8,18 +8,6 @@ import (
 	"aegaeon/internal/sim"
 )
 
-// readSim runs fn where simulation state may be read: on the event loop
-// while the driver runs, or once it has stopped, after the loop has exited —
-// the state is then final and nothing writes it. Every handler that reads
-// simulation state goes through here, so each answers the same way before
-// and after shutdown.
-func (g *Gateway) readSim(fn func()) {
-	if err := g.drv.Call(fn); err != nil {
-		<-g.drv.Done()
-		fn()
-	}
-}
-
 // fleetSnapshot renders the fleet ledger at the current virtual time and
 // returns that time. The snapshot reads the devices' busy counters, which
 // the event loop advances, so it is taken through readSim. A nil ledger

@@ -446,6 +446,18 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	return err
 }
 
+// readSim runs fn where simulation state may be read: on the event loop
+// while the driver runs, or once it has stopped, after the loop has exited —
+// the state is then final and nothing writes it. Every handler that reads
+// simulation state goes through here, so each answers the same way before
+// and after shutdown.
+func (g *Gateway) readSim(fn func()) {
+	if err := g.drv.Call(fn); err != nil {
+		<-g.drv.Done()
+		fn()
+	}
+}
+
 // closeDrained must be called with g.mu held.
 func (g *Gateway) closeDrained() {
 	g.drainOnce.Do(func() { close(g.drained) })
