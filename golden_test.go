@@ -25,6 +25,11 @@ const goldenPath = "testdata/golden_digests.json"
 // outnumber completions.
 const goldenFaults = "crash@30s:decode0,crash@30s:decode1"
 
+// goldenReclaims notices both decode instances of a 1+2 spot pool at once,
+// so for the grace window every decode placement finds each survivor
+// excluded and must waive the market's exclusions.
+const goldenReclaims = "reclaim@40s+5s:decode0,reclaim@40s+5s:decode1"
+
 // goldenCase is one configuration of the golden matrix. neutral marks
 // observer-only configurations, whose simulated outcome must equal the plain
 // run's.
@@ -52,6 +57,11 @@ func goldenCases() []goldenCase {
 			spec: TraceSpec{RatePerModel: 0.6, Horizon: 2 * time.Minute}, prio: true},
 		{name: "prefix", cfg: Config{PrefixCache: true, PrefixRouting: true},
 			spec: TraceSpec{RatePerModel: 0.05, Horizon: 2 * time.Minute, Workload: MultiTurn}},
+		{name: "prefix-decisions", cfg: Config{PrefixCache: true, PrefixRouting: true, Decisions: true},
+			spec: TraceSpec{RatePerModel: 0.05, Horizon: 2 * time.Minute, Workload: MultiTurn}},
+		{name: "market", cfg: Config{Models: SmallModels(8), Market: true, MarketClasses: "H800,A10",
+			MarketSpot: true, Decisions: true, Faults: goldenReclaims}, spec: poisson},
+		{name: "unoptimized", cfg: Config{DisableOptimizations: true, Decisions: true}, spec: poisson},
 	}
 }
 
@@ -153,7 +163,7 @@ func serveGolden(t *testing.T, gc goldenCase, seed int64) goldenRun {
 // the plain run's.
 func TestGoldenDigests(t *testing.T) {
 	if testing.Short() {
-		t.Skip("serves 18 two-minute runs")
+		t.Skip("serves 24 two-minute runs")
 	}
 	got := map[string]map[string]string{}
 	for _, seed := range []int64{1, 2} {
