@@ -127,7 +127,7 @@ type Cache struct {
 	devices   map[string]*kvcache.Cache
 	devBudget map[string]int64
 
-	block   int                         // tokens per block
+	block   int                          // tokens per block
 	index   map[string]map[uint64]*entry // model -> chunk hash -> entry
 	classes map[string]classInfo         // model -> host-registered class
 
