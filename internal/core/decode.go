@@ -89,6 +89,31 @@ func newDecodeInstance(s *System, e *engine.Engine) *decodeInstance {
 // admitted requests).
 func (d *decodeInstance) load() int { return len(d.workList) + len(d.pending) }
 
+func (d *decodeInstance) base() (*engine.Engine, bool) { return d.eng, d.dead }
+
+// switchCost is the effective switch cost to m: prefetching and colocation
+// hide most of a decode instance's weight load.
+func (d *decodeInstance) switchCost(m *model.Model) time.Duration {
+	return d.eng.EffectiveSwitchCost(m)
+}
+
+// score is Algorithm 2 line 2's load-balancing rule for place: work-list
+// size normalized by the device's market capability, plus the market
+// penalty.
+func (d *decodeInstance) score(_ *Request, pen float64, sw time.Duration) (float64, []decision.Term) {
+	capab := d.sys.marketCapability(d.eng.Name)
+	score := float64(d.load())/capab + pen
+	if d.sys.dec == nil {
+		return score, nil
+	}
+	return score, []decision.Term{
+		{Name: "load", Value: float64(d.load())},
+		{Name: "capability", Value: capab},
+		{Name: "market_penalty", Value: pen},
+		decision.NsTerm("switch_cost", sw),
+	}
+}
+
 // batchLimit returns the KV-capacity-derived maximum projected tokens for a
 // batch of the model (Algorithm 2 line 2).
 func (d *decodeInstance) batchLimit(modelName string) int64 {
@@ -429,14 +454,7 @@ func (d *decodeInstance) runTurn() {
 			})
 			// The batch stalls until the scale-up completes: it is the
 			// switch's victim set.
-			if d.sys.obs != nil {
-				d.sys.obs.SwitchVictims(d.eng.Name, requestIDs(b.reqs))
-			}
-			if j := d.sys.dec; j != nil {
-				from := ""
-				if cur != nil {
-					from = cur.Name
-				}
+			d.sys.noteSwitch(d.eng, cur, m, "decode rotation turn", b.reqs, func() ([]decision.Term, []decision.Candidate) {
 				cands := make([]decision.Candidate, 0, len(d.workList))
 				for i, wb := range d.workList {
 					cands = append(cands, decision.Candidate{
@@ -449,18 +467,12 @@ func (d *decodeInstance) runTurn() {
 						},
 					})
 				}
-				j.Record(decision.Record{At: b.lastRun, Kind: decision.KindSwitch,
-					Instance: d.eng.Name, Model: m.Name, Outcome: m.Name,
-					Reason:   "decode rotation turn (from " + from + ")",
-					Requests: requestIDs(b.reqs),
-					Inputs: []decision.Term{
-						decision.NsTerm("switch_cost", d.eng.EffectiveSwitchCost(m)),
-						decision.NsTerm("quota", b.quota),
-						{Name: "turn_index", Value: float64(d.turnIdx)},
-					},
-					Candidates: cands,
-				})
-			}
+				return []decision.Term{
+					decision.NsTerm("switch_cost", d.eng.EffectiveSwitchCost(m)),
+					decision.NsTerm("quota", b.quota),
+					{Name: "turn_index", Value: float64(d.turnIdx)},
+				}, cands
+			})
 			return
 		}
 		d.prefetchUpcoming()
@@ -484,17 +496,6 @@ func (d *decodeInstance) runTurn() {
 		return
 	}
 	proceed()
-}
-
-// requestIDs collects the ids of a batch's requests (observability only;
-// callers nil-check the collector first so the disabled path never
-// allocates).
-func requestIDs(reqs []*Request) []string {
-	ids := make([]string, len(reqs))
-	for i, r := range reqs {
-		ids[i] = r.ID
-	}
-	return ids
 }
 
 // swapOutBatch offloads every GPU-resident sequence of the batch, returning

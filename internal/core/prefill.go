@@ -10,6 +10,7 @@ import (
 	"aegaeon/internal/engine"
 	"aegaeon/internal/kvcache"
 	"aegaeon/internal/memory"
+	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
 )
 
@@ -105,6 +106,63 @@ func (p *prefillInstance) load() time.Duration {
 	return total
 }
 
+func (p *prefillInstance) base() (*engine.Engine, bool) { return p.eng, p.dead }
+
+// switchCost is the full Eq. 4 scale-up a prefill instance pays for m.
+func (p *prefillInstance) switchCost(m *model.Model) time.Duration { return p.eng.CostFor(m).Switch() }
+
+// score is Algorithm 1's load-balancing rule for place: queued work
+// normalized by the device's market capability, plus the market penalty.
+func (p *prefillInstance) score(_ *Request, pen float64, sw time.Duration) (float64, []decision.Term) {
+	load, capab, penalty := p.load(), p.sys.marketCapability(p.eng.Name), penaltyTime(pen)
+	score := time.Duration(float64(load)/capab) + penalty
+	if p.sys.dec == nil {
+		return float64(score), nil
+	}
+	return float64(score), []decision.Term{
+		decision.NsTerm("load", load),
+		{Name: "capability", Value: capab},
+		decision.NsTerm("market_penalty", penalty),
+		decision.NsTerm("switch_cost", sw),
+	}
+}
+
+// prefixScore is cache-aware routing's rule for place: queued work plus the
+// market penalty, minus the expected prefix benefit — the prefill compute
+// the instance's cached prefix of r would avoid, less the tier-dependent copy
+// cost of materializing it. A long hit on a deeply queued instance thus loses
+// to a miss on an idle one exactly when recomputing is faster than waiting,
+// which keeps cache affinity subordinate to the overload machinery.
+func (p *prefillInstance) prefixScore(r *Request, pen float64, _ time.Duration) (float64, []decision.Term) {
+	load, penalty := p.load(), penaltyTime(pen)
+	score := load + penalty
+	matched, onDevice := p.sys.prefix.MatchTokensOn(p.eng.Name, r.Model.Name, r.Segments, r.InputTokens)
+	var saved, copyCost, credit time.Duration
+	if matched > 0 {
+		full := r.InputTokens + r.Generated()
+		cost := p.eng.CostFor(r.Model)
+		perToken := r.Model.ShardKVShape(p.sys.cfg.TP).BytesPerToken()
+		saved = p.eng.PrefillEstimate(r.Model, full) - p.eng.PrefillEstimate(r.Model, full-matched)
+		copyCost = cost.Prof.PCIeCopy(perToken*int64(matched-onDevice)) + cost.OnDeviceCopy(perToken*int64(onDevice))
+		if benefit := saved - copyCost; benefit > 0 {
+			credit = benefit
+			score -= benefit
+		}
+	}
+	if p.sys.dec == nil {
+		return float64(score), nil
+	}
+	return float64(score), []decision.Term{
+		decision.NsTerm("load", load),
+		decision.NsTerm("market_penalty", penalty),
+		{Name: "matched_tokens", Value: float64(matched)},
+		{Name: "on_device_tokens", Value: float64(onDevice)},
+		decision.NsTerm("prefill_saved", saved),
+		decision.NsTerm("copy_cost", copyCost),
+		decision.NsTerm("prefix_credit", credit),
+	}
+}
+
 func (p *prefillInstance) wake() {
 	if p.running || p.dead {
 		return
@@ -167,24 +225,9 @@ func (p *prefillInstance) step() {
 			p.prefetchNext(1)
 			p.step()
 		})
-		if p.sys.obs != nil {
-			ids := make([]string, 0, len(g.reqs))
-			for _, wr := range g.reqs {
-				ids = append(ids, wr.ID)
-			}
-			p.sys.obs.SwitchVictims(p.eng.Name, ids)
-		}
-		if j := p.sys.dec; j != nil {
+		p.sys.noteSwitch(p.eng, cur, m, "prefill front group", g.reqs, func() ([]decision.Term, []decision.Candidate) {
 			// The front group forced the switch; the journal still shows what
 			// else was queued (the groups the scale-up chose *not* to serve).
-			from := ""
-			if cur != nil {
-				from = cur.Name
-			}
-			ids := make([]string, 0, len(g.reqs))
-			for _, wr := range g.reqs {
-				ids = append(ids, wr.ID)
-			}
 			cands := make([]decision.Candidate, 0, len(p.queue))
 			for i, qg := range p.queue {
 				cands = append(cands, decision.Candidate{
@@ -197,17 +240,11 @@ func (p *prefillInstance) step() {
 					},
 				})
 			}
-			j.Record(decision.Record{At: p.eng.Sim().Now(), Kind: decision.KindSwitch,
-				Instance: p.eng.Name, Model: m.Name, Outcome: m.Name,
-				Reason:   "prefill front group (from " + from + ")",
-				Requests: ids,
-				Inputs: []decision.Term{
-					decision.NsTerm("switch_cost", p.eng.CostFor(m).Switch()),
-					{Name: "queued_groups", Value: float64(len(p.queue))},
-				},
-				Candidates: cands,
-			})
-		}
+			return []decision.Term{
+				decision.NsTerm("switch_cost", p.eng.CostFor(m).Switch()),
+				{Name: "queued_groups", Value: float64(len(p.queue))},
+			}, cands
+		})
 		return
 	}
 	r := g.reqs[0]

@@ -134,3 +134,14 @@ func (r *Request) ContextTokens() int64 {
 func (r *Request) ProjectedTokens() int64 {
 	return int64(r.InputTokens + r.OutputTokens)
 }
+
+// requestIDs collects the ids of the requests (observability and journal
+// evidence only; callers nil-check the collector or journal first so the
+// disabled path never allocates).
+func requestIDs(reqs []*Request) []string {
+	ids := make([]string, len(reqs))
+	for i, r := range reqs {
+		ids[i] = r.ID
+	}
+	return ids
+}

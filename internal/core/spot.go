@@ -140,14 +140,10 @@ func (s *System) evacuatePrefill(p *prefillInstance) {
 		}
 	}
 	if j := s.dec; j != nil {
-		ids := make([]string, 0, len(owned))
-		for _, r := range owned {
-			ids = append(ids, r.ID)
-		}
 		j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindEvacuation,
 			Instance: p.eng.Name, Outcome: "drain_prefill",
 			Reason:   "re-home queued groups; drop device prefix copies",
-			Requests: ids,
+			Requests: requestIDs(owned),
 			Inputs: []decision.Term{
 				{Name: "rehomed_requests", Value: float64(len(owned))},
 				{Name: "rehomed_prefix_bytes", Value: float64(rehomed)},
@@ -202,10 +198,8 @@ func (s *System) evacuateDecode(d *decodeInstance) {
 		// The evacuation order is the collection order: work-list batches
 		// first, then the executing batch, then pending — the journal records
 		// it so a lost-KV post-mortem can see who was queued behind whom.
-		ids := make([]string, 0, len(owned))
 		var gpuResident int
 		for _, r := range owned {
-			ids = append(ids, r.ID)
 			if r.Seq != nil && r.Seq.State() != kvcache.StateCPU {
 				gpuResident++
 			}
@@ -213,7 +207,7 @@ func (s *System) evacuateDecode(d *decodeInstance) {
 		j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindEvacuation,
 			Instance: d.eng.Name, Outcome: "drain_decode",
 			Reason:   "offload KV to host tier; re-dispatch as transfers land",
-			Requests: ids,
+			Requests: requestIDs(owned),
 			Inputs: []decision.Term{
 				{Name: "owned_requests", Value: float64(len(owned))},
 				{Name: "gpu_resident", Value: float64(gpuResident)},
@@ -340,10 +334,7 @@ func (s *System) revokeInstance(name string) {
 	}
 	mkt.NoteLostKV(name, lost)
 	if j := s.dec; j != nil {
-		var ids []string
-		for _, r := range s.ownedRequests(name) {
-			ids = append(ids, r.ID)
-		}
+		ids := requestIDs(s.ownedRequests(name))
 		j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindEvacuation,
 			Instance: name, Outcome: "revoked",
 			Reason:   "grace deadline; stragglers recover via crash path",

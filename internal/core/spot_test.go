@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"aegaeon/internal/decision"
 	"aegaeon/internal/engine"
 	"aegaeon/internal/market"
 	"aegaeon/internal/model"
@@ -188,5 +189,109 @@ func TestHeterogeneousClassGeometry(t *testing.T) {
 	sys.Finalize(se.Now())
 	if sys.Completed() != len(trace) {
 		t.Fatalf("completed %d/%d on heterogeneous pool", sys.Completed(), len(trace))
+	}
+}
+
+// noticedPlacements serves the spot trace on an aware 1+3 pool with the
+// decision journal on, notices the named decode instances at 45s with a 5s
+// grace, and returns the scored decode placements made once every notice is
+// open and before the first revocation.
+func noticedPlacements(t *testing.T, noticed ...string) []decision.Record {
+	t.Helper()
+	models := model.SmallMix(6)
+	var names []string
+	for _, m := range models {
+		names = append(names, m.Name)
+	}
+	trace := workload.PoissonTrace(rand.New(rand.NewSource(9)), names, 0.4, 120*time.Second, workload.ShareGPT())
+	se := sim.NewEngine(1)
+	classes, err := market.ParseClasses("H800")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(models, engine.AllOptimizations(), 1, 3)
+	cfg.Market = market.New(se, nil, market.Config{Classes: classes, Spot: true, Aware: true, Seed: 1})
+	cfg.Decisions = decision.New(decision.Options{})
+	sys := NewSystem(se, cfg)
+	if err := sys.Submit(trace); err != nil {
+		t.Fatal(err)
+	}
+	const notice, grace = 45 * time.Second, 5 * time.Second
+	se.At(notice, func() {
+		for _, name := range noticed {
+			if err := sys.ReclaimInstance(name, grace); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	se.Run()
+	// Each notice is journaled before its instance is drained, so placements
+	// after the last notice record see every named instance noticed.
+	var after uint64
+	for _, rec := range cfg.Decisions.Recent(0, decision.KindEvacuation) {
+		if rec.Outcome == "notice" {
+			after = rec.Seq
+		}
+	}
+	var out []decision.Record
+	for _, rec := range cfg.Decisions.Recent(0, decision.KindDecodePlacement) {
+		if rec.Seq > after && rec.At < notice+grace && len(rec.Candidates) > 0 {
+			out = append(out, rec)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("no decode placement was scored inside the notice window")
+	}
+	return out
+}
+
+// TestPlacementExcludesNoticed: while one decode instance is under a reclaim
+// notice, every scored placement lists it as excluded and never chooses it.
+func TestPlacementExcludesNoticed(t *testing.T) {
+	for _, rec := range noticedPlacements(t, "decode1") {
+		if rec.Instance == "decode1" || rec.Reason != "" {
+			t.Fatalf("placement %d chose %s (reason %q) under decode1's notice", rec.Seq, rec.Instance, rec.Reason)
+		}
+		listed := false
+		for _, c := range rec.Candidates {
+			if c.Name == "decode1" {
+				listed = true
+				if !c.Excluded || c.Chosen {
+					t.Fatalf("placement %d: noticed candidate %+v", rec.Seq, c)
+				}
+			}
+		}
+		if !listed {
+			t.Fatalf("placement %d does not list the noticed decode1: %+v", rec.Seq, rec.Candidates)
+		}
+	}
+}
+
+// TestPlacementWaivesWhenAllNoticed: with every live decode instance under a
+// notice, placement still chooses one instead of failing the request, says
+// the exclusions were waived, and scores every instance.
+func TestPlacementWaivesWhenAllNoticed(t *testing.T) {
+	for _, rec := range noticedPlacements(t, "decode0", "decode1", "decode2") {
+		if rec.Reason != "market exclusions waived" || rec.Instance == "" {
+			t.Fatalf("placement %d: instance %q, reason %q", rec.Seq, rec.Instance, rec.Reason)
+		}
+		if len(rec.Candidates) != 3 {
+			t.Fatalf("placement %d lists %d candidates, want all 3", rec.Seq, len(rec.Candidates))
+		}
+		chosen := 0
+		for _, c := range rec.Candidates {
+			if c.Excluded {
+				t.Fatalf("placement %d: candidate %s still excluded after the waiver", rec.Seq, c.Name)
+			}
+			if c.Chosen {
+				chosen++
+				if c.Name != rec.Instance {
+					t.Fatalf("placement %d chose %s but marks %s", rec.Seq, rec.Instance, c.Name)
+				}
+			}
+		}
+		if chosen != 1 {
+			t.Fatalf("placement %d marks %d candidates chosen", rec.Seq, chosen)
+		}
 	}
 }

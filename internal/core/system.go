@@ -426,8 +426,8 @@ func (s *System) dispatchPrefill(r *Request) {
 	}
 	s.obs.RequestArrived(r.ID, r.Model.Name, s.eng.Now())
 	if s.prefix != nil && s.prefix.Routing() && len(r.Segments) > 0 {
-		if best := s.routePrefix(r); best != nil {
-			if !best.tryJoinGroup(r) {
+		if i := place(s, r, decision.KindPrefillRouting, "cache-aware", false, s.prefills, (*prefillInstance).prefixScore); i >= 0 {
+			if best := s.prefills[i]; !best.tryJoinGroup(r) {
 				best.newGroup(r)
 			}
 			return
@@ -437,96 +437,151 @@ func (s *System) dispatchPrefill(r *Request) {
 	}
 	for _, p := range s.prefills {
 		if !p.dead && s.marketAllows(p.eng.Name) && p.tryJoinGroup(r) {
-			if j := s.dec; j != nil {
-				j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindPrefillRouting,
-					Request: r.ID, Model: r.Model.Name, Instance: p.eng.Name,
-					Outcome: p.eng.Name, Reason: "joined open group"})
-			}
+			s.recordJoin(r, decision.KindPrefillRouting, p.eng.Name, "joined open group")
 			return
 		}
 	}
-	best := s.bestPrefill(r)
-	if best == nil {
+	i := place(s, r, decision.KindPrefillRouting, "", true, s.prefills, (*prefillInstance).score)
+	if i < 0 {
 		s.failRequest(r, "no surviving prefill capacity")
 		return
 	}
-	best.newGroup(r)
+	s.prefills[i].newGroup(r)
 }
 
-// bestPrefill returns the surviving prefill instance with the lowest
-// market-adjusted load score. When every survivor is market-excluded (under
-// a reclaim notice, disqualified, or VRAM-starved) the exclusions are waived:
-// serving on a risky device beats failing the request.
-func (s *System) bestPrefill(r *Request) *prefillInstance {
-	journal := s.dec != nil
+// dispatchDecode routes a freshly prefilled request to a decoding instance:
+// prefer an instance already holding an open batch of the same model with
+// KV room, else the least-loaded instance by work-list size (Algorithm 2
+// line 2).
+func (s *System) dispatchDecode(r *Request) {
+	if r.terminal() {
+		return
+	}
+	for _, d := range s.decodes {
+		if !d.dead && s.marketAllows(d.eng.Name) && d.hasRoomInModelBatch(r) {
+			s.recordJoin(r, decision.KindDecodePlacement, d.eng.Name, "joined open batch")
+			d.enqueue(r)
+			return
+		}
+	}
+	i := place(s, r, decision.KindDecodePlacement, "", true, s.decodes, (*decodeInstance).score)
+	if i < 0 {
+		s.failRequest(r, "no surviving decode capacity")
+		return
+	}
+	s.decodes[i].enqueue(r)
+}
+
+// recordJoin journals a dispatch that joined an open group or batch on
+// instance without scoring the pool.
+func (s *System) recordJoin(r *Request, kind, instance, reason string) {
+	if j := s.dec; j != nil {
+		j.Record(decision.Record{At: s.eng.Now(), Kind: kind,
+			Request: r.ID, Model: r.Model.Name, Instance: instance,
+			Outcome: instance, Reason: reason})
+	}
+}
+
+// pooled is a prefill or decode instance as place walks it.
+type pooled interface {
+	// base returns the instance's engine and whether it has fail-stopped.
+	base() (e *engine.Engine, dead bool)
+	// switchCost is the cost of switching the instance to m that the market
+	// prices reclaim risk by.
+	switchCost(m *model.Model) time.Duration
+}
+
+// place is the one placement rule of both pools: Algorithm 1's "least-loaded
+// prefill instance" and Algorithm 2's "least-loaded decoding instance" differ
+// only in how an instance is scored. It walks the pool in order, skips dead
+// instances, refreshes the market's headroom view, excludes the devices the
+// market refuses (under a reclaim notice, disqualified, or VRAM-starved), and
+// returns the index of the lowest score (the first on ties), or -1 when none
+// survives. When waive is set and every survivor is excluded, it walks once
+// more with the exclusions waived: serving on a risky device beats failing
+// the request. score gets the market penalty in penalty points and the switch
+// cost it priced. With the journal on, the decision is recorded with every
+// candidate, its score terms, and the chosen one marked.
+func place[I pooled](s *System, r *Request, kind, reason string, waive bool, pool []I,
+	score func(I, *Request, float64, time.Duration) (float64, []decision.Term)) int {
 	var cands []decision.Candidate
-	bestIdx := -1
-	pick := func(waive bool) *prefillInstance {
-		if journal {
-			cands = cands[:0]
-			bestIdx = -1
-		}
-		var best *prefillInstance
-		var bestScore time.Duration
-		for _, p := range s.prefills {
-			if p.dead {
-				continue
-			}
-			s.noteHeadroom(p.eng)
-			sw := p.eng.CostFor(r.Model).Switch()
-			pen, ok := s.marketPenalty(p.eng.Name, sw)
-			if !ok && !waive {
-				if journal {
-					cands = append(cands, decision.Candidate{Name: p.eng.Name, Excluded: true})
-				}
-				continue
-			}
-			capab := s.marketCapability(p.eng.Name)
-			score := time.Duration(float64(p.load())/capab) + pen
-			if journal {
-				cands = append(cands, decision.Candidate{
-					Name: p.eng.Name, Score: float64(score),
-					Terms: []decision.Term{
-						decision.NsTerm("load", p.load()),
-						{Name: "capability", Value: capab},
-						decision.NsTerm("market_penalty", pen),
-						decision.NsTerm("switch_cost", sw),
-					},
-				})
-			}
-			if best == nil || score < bestScore {
-				best, bestScore = p, score
-				if journal {
-					bestIdx = len(cands) - 1
-				}
-			}
-		}
-		return best
-	}
-	best := pick(false)
+	best, chosen := -1, -1
 	waived := false
-	if best == nil {
-		best = pick(true)
-		waived = true
-	}
-	if journal {
-		rec := decision.Record{At: s.eng.Now(), Kind: decision.KindPrefillRouting,
-			Request: r.ID, Model: r.Model.Name, Outcome: "none",
-			Candidates: append([]decision.Candidate(nil), cands...)}
-		if best != nil {
-			rec.Outcome = best.eng.Name
-			rec.Instance = best.eng.Name
-			if bestIdx >= 0 {
-				rec.Candidates[bestIdx].Chosen = true
+	walk := func() {
+		var bestScore float64
+		for i, inst := range pool {
+			e, dead := inst.base()
+			if dead {
+				continue
+			}
+			s.noteHeadroom(e)
+			sw := inst.switchCost(r.Model)
+			pen, ok := s.cfg.Market.PlacementPenalty(e.Name, sw)
+			if !ok && !waived {
+				if s.dec != nil {
+					cands = append(cands, decision.Candidate{Name: e.Name, Excluded: true})
+				}
+				continue
+			}
+			v, terms := score(inst, r, pen, sw)
+			if s.dec != nil {
+				cands = append(cands, decision.Candidate{Name: e.Name, Score: v, Terms: terms})
+			}
+			if best < 0 || v < bestScore {
+				best, bestScore, chosen = i, v, len(cands)-1
 			}
 		}
+	}
+	walk()
+	if best < 0 && waive {
+		waived = true
+		cands = cands[:0]
+		walk()
+	}
+	if j := s.dec; j != nil {
+		rec := decision.Record{At: s.eng.Now(), Kind: kind,
+			Request: r.ID, Model: r.Model.Name, Outcome: "none", Reason: reason,
+			Candidates: cands}
 		if waived {
 			rec.Reason = "market exclusions waived"
 		}
-		s.dec.Record(rec)
+		if best >= 0 {
+			e, _ := pool[best].base()
+			rec.Outcome, rec.Instance = e.Name, e.Name
+			rec.Candidates[chosen].Chosen = true
+		}
+		j.Record(rec)
 	}
 	return best
 }
+
+// noteSwitch attributes a scale-up of e from one model to another to the
+// requests it stalls (its victim set) and journals why it happened, reason
+// naming the scheduler that forced it. evidence builds the record's inputs
+// and candidates; it runs only with the journal on.
+func (s *System) noteSwitch(e *engine.Engine, from, to *model.Model, reason string, victims []*Request,
+	evidence func() ([]decision.Term, []decision.Candidate)) {
+	if s.obs == nil && s.dec == nil {
+		return
+	}
+	ids := requestIDs(victims)
+	s.obs.SwitchVictims(e.Name, ids)
+	if j := s.dec; j != nil {
+		fromName := ""
+		if from != nil {
+			fromName = from.Name
+		}
+		inputs, cands := evidence()
+		j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindSwitch,
+			Instance: e.Name, Model: to.Name, Outcome: to.Name,
+			Reason:   reason + " (from " + fromName + ")",
+			Requests: ids, Inputs: inputs, Candidates: cands})
+	}
+}
+
+// penaltyTime converts market penalty points into load-score time: one point
+// weighs as much as one second of queued work.
+func penaltyTime(pen float64) time.Duration { return time.Duration(pen * float64(time.Second)) }
 
 // marketCapability is the capability divisor aware placement normalizes load
 // scores by: a queue on a device with 0.13 of the pool's best compute counts
@@ -543,17 +598,8 @@ func (s *System) marketCapability(name string) float64 {
 	return 1
 }
 
-// marketPenalty converts the market's placement risk for an instance into
-// load-score units (one penalty point ≈ one second of queued work);
-// ok=false means aware placement excludes the device. A nil market yields
-// (0, true), keeping dispatch byte-identical to the market-free build.
-func (s *System) marketPenalty(name string, switchCost time.Duration) (time.Duration, bool) {
-	pen, ok := s.cfg.Market.PlacementPenalty(name, switchCost)
-	return time.Duration(pen * float64(time.Second)), ok
-}
-
 // marketAllows reports whether aware placement may target the instance (the
-// fast-path join check; exclusions are waived only through best* fallbacks).
+// join fast paths' check; only place's waiver pass overrides an exclusion).
 func (s *System) marketAllows(name string) bool {
 	_, ok := s.cfg.Market.PlacementPenalty(name, 0)
 	return ok
@@ -571,86 +617,6 @@ func (s *System) noteHeadroom(e *engine.Engine) {
 	}
 }
 
-// routePrefix scores every live prefill instance as (queue load − expected
-// prefix benefit) and returns the minimum; nil when no instance survives.
-// The benefit is the prefill compute the instance's cached prefix would
-// avoid, minus the tier-dependent copy cost of materializing it — so a long
-// hit on a deeply queued instance loses to a miss on an idle one exactly
-// when recomputing is faster than waiting, which keeps cache affinity
-// subordinate to the PR 5 overload machinery.
-func (s *System) routePrefix(r *Request) *prefillInstance {
-	var best *prefillInstance
-	var bestScore time.Duration
-	journal := s.dec != nil
-	var cands []decision.Candidate
-	bestIdx := -1
-	shape := r.Model.ShardKVShape(s.cfg.TP)
-	full := 0
-	for _, p := range s.prefills {
-		if p.dead {
-			continue
-		}
-		s.noteHeadroom(p.eng)
-		pen, ok := s.marketPenalty(p.eng.Name, p.eng.CostFor(r.Model).Switch())
-		if !ok {
-			if journal {
-				cands = append(cands, decision.Candidate{Name: p.eng.Name, Excluded: true})
-			}
-			continue // under notice / disqualified; bestPrefill may waive later
-		}
-		score := p.load() + pen
-		matched, onDevice := s.prefix.MatchTokensOn(p.eng.Name, r.Model.Name, r.Segments, r.InputTokens)
-		var saved, copyCost, credit time.Duration
-		if matched > 0 {
-			if full == 0 {
-				full = r.InputTokens + r.Generated()
-			}
-			saved = p.eng.PrefillEstimate(r.Model, full) - p.eng.PrefillEstimate(r.Model, full-matched)
-			hostBytes := shape.BytesPerToken() * int64(matched-onDevice)
-			devBytes := shape.BytesPerToken() * int64(onDevice)
-			copyCost = p.eng.CostFor(r.Model).Prof.PCIeCopy(hostBytes) + p.eng.CostFor(r.Model).OnDeviceCopy(devBytes)
-			if benefit := saved - copyCost; benefit > 0 {
-				credit = benefit
-				score -= benefit
-			}
-		}
-		if journal {
-			cands = append(cands, decision.Candidate{
-				Name: p.eng.Name, Score: float64(score),
-				Terms: []decision.Term{
-					decision.NsTerm("load", p.load()),
-					decision.NsTerm("market_penalty", pen),
-					{Name: "matched_tokens", Value: float64(matched)},
-					{Name: "on_device_tokens", Value: float64(onDevice)},
-					decision.NsTerm("prefill_saved", saved),
-					decision.NsTerm("copy_cost", copyCost),
-					decision.NsTerm("prefix_credit", credit),
-				},
-			})
-		}
-		if best == nil || score < bestScore {
-			best, bestScore = p, score
-			if journal {
-				bestIdx = len(cands) - 1
-			}
-		}
-	}
-	if journal {
-		rec := decision.Record{At: s.eng.Now(), Kind: decision.KindPrefillRouting,
-			Request: r.ID, Model: r.Model.Name, Outcome: "none", Reason: "cache-aware",
-			Candidates: cands}
-		if best != nil {
-			rec.Outcome = best.eng.Name
-			rec.Instance = best.eng.Name
-			if bestIdx >= 0 {
-				rec.Candidates[bestIdx].Chosen = true
-			}
-		}
-		s.dec.Record(rec)
-	}
-	return best
-}
-
 // releasePrefix unpins the request's prefix-cache hit, if any. Safe on every
 // terminal and retry path; the Hit itself is idempotent.
 func (s *System) releasePrefix(r *Request) {
@@ -662,107 +628,6 @@ func (s *System) releasePrefix(r *Request) {
 
 // PrefixCache exposes the global prefix cache (nil when disabled).
 func (s *System) PrefixCache() *prefixcache.Cache { return s.prefix }
-
-// dispatchDecode routes a freshly prefilled request to a decoding instance:
-// prefer an instance already holding an open batch of the same model with
-// KV room, else the least-loaded instance by work-list size (Algorithm 2
-// line 2).
-func (s *System) dispatchDecode(r *Request) {
-	if r.terminal() {
-		return
-	}
-	for _, d := range s.decodes {
-		if !d.dead && s.marketAllows(d.eng.Name) && d.hasRoomInModelBatch(r) {
-			if j := s.dec; j != nil {
-				j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindDecodePlacement,
-					Request: r.ID, Model: r.Model.Name, Instance: d.eng.Name,
-					Outcome: d.eng.Name, Reason: "joined open batch"})
-			}
-			d.enqueue(r)
-			return
-		}
-	}
-	best := s.bestDecode(r)
-	if best == nil {
-		s.failRequest(r, "no surviving decode capacity")
-		return
-	}
-	best.enqueue(r)
-}
-
-// bestDecode mirrors bestPrefill for the decoding pool: lowest work-list
-// load plus the market's risk penalty, waiving exclusions only when every
-// survivor is excluded.
-func (s *System) bestDecode(r *Request) *decodeInstance {
-	journal := s.dec != nil
-	var cands []decision.Candidate
-	bestIdx := -1
-	pick := func(waive bool) *decodeInstance {
-		if journal {
-			cands = cands[:0]
-			bestIdx = -1
-		}
-		var best *decodeInstance
-		var bestScore float64
-		for _, d := range s.decodes {
-			if d.dead {
-				continue
-			}
-			s.noteHeadroom(d.eng)
-			sw := d.eng.EffectiveSwitchCost(r.Model)
-			pen, ok := s.cfg.Market.PlacementPenalty(d.eng.Name, sw)
-			if !ok && !waive {
-				if journal {
-					cands = append(cands, decision.Candidate{Name: d.eng.Name, Excluded: true})
-				}
-				continue
-			}
-			capab := s.marketCapability(d.eng.Name)
-			score := float64(d.load())/capab + pen
-			if journal {
-				cands = append(cands, decision.Candidate{
-					Name: d.eng.Name, Score: score,
-					Terms: []decision.Term{
-						{Name: "load", Value: float64(d.load())},
-						{Name: "capability", Value: capab},
-						{Name: "market_penalty", Value: pen},
-						decision.NsTerm("switch_cost", sw),
-					},
-				})
-			}
-			if best == nil || score < bestScore {
-				best, bestScore = d, score
-				if journal {
-					bestIdx = len(cands) - 1
-				}
-			}
-		}
-		return best
-	}
-	best := pick(false)
-	waived := false
-	if best == nil {
-		best = pick(true)
-		waived = true
-	}
-	if journal {
-		rec := decision.Record{At: s.eng.Now(), Kind: decision.KindDecodePlacement,
-			Request: r.ID, Model: r.Model.Name, Outcome: "none",
-			Candidates: append([]decision.Candidate(nil), cands...)}
-		if best != nil {
-			rec.Outcome = best.eng.Name
-			rec.Instance = best.eng.Name
-			if bestIdx >= 0 {
-				rec.Candidates[bestIdx].Chosen = true
-			}
-		}
-		if waived {
-			rec.Reason = "market exclusions waived"
-		}
-		s.dec.Record(rec)
-	}
-	return best
-}
 
 // sloFor returns the SLO governing requests to the named model.
 func (s *System) sloFor(modelName string) slo.SLO {
