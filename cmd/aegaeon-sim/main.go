@@ -311,6 +311,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-store-replicas/-chaos-sweep/-chaos-json require -chaos")
 		os.Exit(2)
 	}
+	if *mktBench != "" && *decode < 2 {
+		fmt.Fprintln(os.Stderr, "-market-bench needs -decode >= 2: its two reclaims land on distinct decode instances")
+		os.Exit(2)
+	}
 	if *assert && *ovlBench == "" && *pfxBench == "" && *mktBench == "" {
 		fmt.Fprintln(os.Stderr, "-assert requires -overload-bench, -prefix-bench or -market-bench")
 		os.Exit(2)

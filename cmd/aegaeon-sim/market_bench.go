@@ -62,12 +62,18 @@ func marketBench(e benchEnv, classes string) bench[marketRow] {
 	models := aegaeon.SmallModels(e.base.NumModels)
 	trace := workload.PoissonTrace(e.traceRand(), modelNames(models), e.rps, e.horizon, e.dataset)
 
-	// Reclaim schedule for the spot arms: two mid-run preemptions of decode
-	// instances with a 5s grace each, identical across arms. Decode KV is
-	// what evacuation protects, so that is where the notices land.
+	// Reclaim schedule for the spot arms: two mid-run preemptions of distinct
+	// decode instances with a 5s grace each, identical across arms. Decode KV
+	// is what evacuation protects, so that is where the notices land: on
+	// decode1, then on the last instance (decode0 when there are only two).
+	// The pool needs at least two decode instances (checked at flag parsing).
 	decode := e.base.DecodeGPUs
-	faults := fmt.Sprintf("reclaim@%ds+5s:decode%d,reclaim@%ds+5s:decode%d",
-		int(e.horizon.Seconds()*0.4), 1%decode, int(e.horizon.Seconds()*0.7), (decode-1)%decode)
+	second := decode - 1
+	if second == 1 {
+		second = 0
+	}
+	faults := fmt.Sprintf("reclaim@%ds+5s:decode1,reclaim@%ds+5s:decode%d",
+		int(e.horizon.Seconds()*0.4), int(e.horizon.Seconds()*0.7), second)
 	market := func(classes string, spot, naive bool) func(*aegaeon.Config) {
 		return func(c *aegaeon.Config) {
 			c.Models = models
