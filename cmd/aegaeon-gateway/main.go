@@ -113,9 +113,9 @@ func main() {
 		pfx = &prefixcache.Config{Routing: true}
 	}
 	se := sim.NewEngine(*seed)
-	// One ledger shared between the cluster (devices register with it) and
-	// the gateway (/debug/fleet, metrics), so scrapes read the one source of
-	// GPU-second truth.
+	// The cluster owns the fleet ledger (devices register with it); the
+	// gateway reads it through the cluster for /debug/fleet and metrics, so
+	// scrapes read the one source of GPU-second truth.
 	if *marketOn {
 		*fleetOn = true // class economics join against the ledger
 	}
@@ -123,8 +123,9 @@ func main() {
 	if *fleetOn {
 		fleet = fleetobs.New(se)
 	}
-	// One market shared between the cluster (devices register, reclaim and
-	// throttle faults resolve) and the gateway (/debug/market, metrics).
+	// The cluster owns the market (devices register, reclaim and throttle
+	// faults resolve); the gateway reads it through the cluster for
+	// /debug/market and metrics.
 	var mkt *market.Market
 	if *marketOn {
 		classes, err := market.ParseClasses(*marketClasses)
@@ -186,8 +187,6 @@ func main() {
 		Burst:            *burst,
 		Obs:              gwCol,
 		SLOMon:           mon,
-		Fleet:            fleet,
-		Market:           mkt,
 		Decisions:        dec,
 		Pprof:            *pprofOn,
 	}

@@ -15,7 +15,7 @@ import (
 func (g *Gateway) fleetSnapshot() (now sim.Time, snap *fleetobs.Snapshot) {
 	g.readSim(func() {
 		now = g.cl.VirtualNow()
-		snap = g.opts.Fleet.Snapshot(now)
+		snap = g.cl.Fleet().Snapshot(now)
 	})
 	return now, snap
 }
@@ -26,14 +26,14 @@ func (g *Gateway) fleetSnapshot() (now sim.Time, snap *fleetobs.Snapshot) {
 // goodput and occupancy shares, and fleet rollups (switch-overhead ratio,
 // GPU-hours, cost). conservation_errors is non-empty only if the ledger's
 // accounting invariant broke — it is asserted empty in tests and CI. 404
-// when the gateway was built without a fleet ledger.
+// when the cluster was built without a fleet ledger.
 func (g *Gateway) handleDebugFleet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSONError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	if g.opts.Fleet == nil {
-		writeJSONError(w, http.StatusNotFound, "fleet accounting disabled (gateway built without a fleet ledger)")
+	if g.cl.Fleet() == nil {
+		writeJSONError(w, http.StatusNotFound, "fleet accounting disabled (cluster built without a fleet ledger)")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

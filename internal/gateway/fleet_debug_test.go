@@ -22,8 +22,8 @@ import (
 	"aegaeon/internal/slomon"
 )
 
-// newFleetGateway builds a live cluster with the fleet utilization ledger
-// shared between the cluster (devices register with it) and the gateway
+// newFleetGateway builds a live cluster with the fleet utilization ledger,
+// which devices register with and the gateway reads through the cluster
 // (/debug/fleet and the aegaeon_fleet_* families).
 func newFleetGateway(t testing.TB, opts Options) (*Gateway, []string) {
 	t.Helper()
@@ -45,7 +45,6 @@ func newFleetGateway(t testing.TB, opts Options) (*Gateway, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Fleet = fleet
 	gw := New(sim.NewDriver(se, opts.Speedup), cl, opts)
 	gw.Start()
 	names := make([]string, len(models))
@@ -55,7 +54,7 @@ func newFleetGateway(t testing.TB, opts Options) (*Gateway, []string) {
 	return gw, names
 }
 
-// TestDebugFleet404WithoutLedger: a gateway built without a fleet ledger
+// TestDebugFleet404WithoutLedger: a gateway over a cluster without a fleet ledger
 // answers 404 on /debug/fleet, mirroring the other gated debug endpoints.
 func TestDebugFleet404WithoutLedger(t *testing.T) {
 	gw, _ := newTestGateway(t, Options{Speedup: 50000})
@@ -143,7 +142,6 @@ func newFullGateway(t testing.TB, opts Options) (*Gateway, []string) {
 	col := obs.New(obs.Options{})
 	opts.Obs = col
 	opts.SLOMon = slomon.New(slomon.Config{Objective: 0.99, Source: col})
-	opts.Fleet = fleetobs.New(se)
 	cl, err := cluster.New(se, cluster.Config{
 		Prof:   prof,
 		SLO:    slo.Default(),
@@ -152,7 +150,7 @@ func newFullGateway(t testing.TB, opts Options) (*Gateway, []string) {
 		Deployments: []cluster.DeploymentConfig{{
 			Name: "live", TP: 1, NumPrefill: 2, NumDecode: 2, Models: models,
 		}},
-		Fleet:  opts.Fleet,
+		Fleet:  fleetobs.New(se),
 		Prefix: &prefixcache.Config{Routing: true},
 	})
 	if err != nil {

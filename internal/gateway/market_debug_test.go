@@ -19,7 +19,7 @@ import (
 )
 
 // newMarketGateway builds a live cluster with the spot market and the fleet
-// ledger shared between the cluster and the gateway (/debug/market and the
+// ledger, which the gateway reads through the cluster (/debug/market and the
 // aegaeon_market_* families join class economics against the ledger).
 func newMarketGateway(t testing.TB, opts Options) (*Gateway, []string) {
 	t.Helper()
@@ -48,8 +48,6 @@ func newMarketGateway(t testing.TB, opts Options) (*Gateway, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Fleet = fleet
-	opts.Market = mkt
 	gw := New(sim.NewDriver(se, opts.Speedup), cl, opts)
 	gw.Start()
 	names := make([]string, len(models))
@@ -59,7 +57,7 @@ func newMarketGateway(t testing.TB, opts Options) (*Gateway, []string) {
 	return gw, names
 }
 
-// TestDebugMarket404WithoutMarket: a gateway built without a market model
+// TestDebugMarket404WithoutMarket: a gateway over a cluster without a market model
 // answers 404 on /debug/market, mirroring the other gated debug endpoints.
 func TestDebugMarket404WithoutMarket(t *testing.T) {
 	gw, _ := newTestGateway(t, Options{Speedup: 50000})

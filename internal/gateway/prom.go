@@ -197,13 +197,13 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writePrefixMetrics(&b, prefixSnaps)
 	}
 
-	if g.opts.Fleet != nil || g.opts.Market != nil {
+	if mkt := g.cl.Market(); g.cl.Fleet() != nil || mkt != nil {
 		now, fleetSnap := g.fleetSnapshot()
 		if fleetSnap != nil {
 			writeFleetMetrics(&b, fleetSnap)
 		}
-		if g.opts.Market != nil {
-			writeMarketMetrics(&b, g.opts.Market.Snapshot(now, fleetSnap))
+		if mkt != nil {
+			writeMarketMetrics(&b, mkt.Snapshot(now, fleetSnap))
 		}
 	}
 
