@@ -101,13 +101,13 @@ func (d *decodeInstance) switchCost(m *model.Model) time.Duration {
 // size normalized by the device's market capability, plus the market
 // penalty.
 func (d *decodeInstance) score(_ *Request, pen float64, sw time.Duration) (float64, []decision.Term) {
-	capab := d.sys.marketCapability(d.eng.Name)
-	score := float64(d.load())/capab + pen
+	load, capab := float64(d.load()), d.sys.marketCapability(d.eng.Name)
+	score := load/capab + pen
 	if d.sys.dec == nil {
 		return score, nil
 	}
 	return score, []decision.Term{
-		{Name: "load", Value: float64(d.load())},
+		{Name: "load", Value: load},
 		{Name: "capability", Value: capab},
 		{Name: "market_penalty", Value: pen},
 		decision.NsTerm("switch_cost", sw),

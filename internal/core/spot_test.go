@@ -13,10 +13,10 @@ import (
 	"aegaeon/internal/workload"
 )
 
-// spotFixture builds a spot-market system on a deterministic trace. The
-// trace is identical across aware/naive runs so lost-KV comparisons are
-// apples to apples.
-func spotFixture(t *testing.T, classSpec string, aware bool) (*System, *sim.Engine, []workload.Request, *market.Market) {
+// spotFixture builds a spot-market system on a deterministic trace, with
+// the decision journal dec (nil for none). The trace is identical across
+// aware/naive runs so lost-KV comparisons are apples to apples.
+func spotFixture(t *testing.T, classSpec string, aware bool, dec *decision.Journal) (*System, *sim.Engine, []workload.Request, *market.Market) {
 	t.Helper()
 	models := model.SmallMix(6)
 	var names []string
@@ -35,6 +35,7 @@ func spotFixture(t *testing.T, classSpec string, aware bool) (*System, *sim.Engi
 	mkt := market.New(se, nil, market.Config{Classes: classes, Spot: true, Aware: aware, Seed: 1})
 	cfg := testConfig(models, engine.AllOptimizations(), 1, 3)
 	cfg.Market = mkt
+	cfg.Decisions = dec
 	sys := NewSystem(se, cfg)
 	if err := sys.Submit(trace); err != nil {
 		t.Fatal(err)
@@ -43,7 +44,7 @@ func spotFixture(t *testing.T, classSpec string, aware bool) (*System, *sim.Engi
 }
 
 func TestReclaimAwareEvacuation(t *testing.T) {
-	sys, se, trace, mkt := spotFixture(t, "H800", true)
+	sys, se, trace, mkt := spotFixture(t, "H800", true, nil)
 	se.At(45*time.Second, func() {
 		if err := sys.ReclaimInstance("decode1", 5*time.Second); err != nil {
 			t.Error(err)
@@ -88,7 +89,7 @@ func TestReclaimAwareEvacuation(t *testing.T) {
 
 func TestReclaimNaiveLosesKV(t *testing.T) {
 	runArm := func(aware bool) (lost, evac int64, completed int) {
-		sys, se, trace, mkt := spotFixture(t, "H800", aware)
+		sys, se, trace, mkt := spotFixture(t, "H800", aware, nil)
 		se.At(45*time.Second, func() {
 			if err := sys.ReclaimInstance("decode1", 5*time.Second); err != nil {
 				t.Error(err)
@@ -119,7 +120,7 @@ func TestReclaimNaiveLosesKV(t *testing.T) {
 }
 
 func TestReclaimUnknownAndDoubleNotice(t *testing.T) {
-	sys, se, _, _ := spotFixture(t, "H800", true)
+	sys, se, _, _ := spotFixture(t, "H800", true, nil)
 	se.At(10*time.Second, func() {
 		if err := sys.ReclaimInstance("nope", time.Second); err == nil {
 			t.Error("reclaim of unknown instance succeeded")
@@ -135,7 +136,7 @@ func TestReclaimUnknownAndDoubleNotice(t *testing.T) {
 }
 
 func TestThrottleInstanceSlowsAndClears(t *testing.T) {
-	sys, se, trace, mkt := spotFixture(t, "H800", true)
+	sys, se, trace, mkt := spotFixture(t, "H800", true, nil)
 	se.At(20*time.Second, func() {
 		if err := sys.ThrottleInstance("decode0", 4.0, 30*time.Second); err != nil {
 			t.Error(err)
@@ -159,7 +160,7 @@ func TestThrottleInstanceSlowsAndClears(t *testing.T) {
 // Heterogeneous classes: each instance registers for its round-robin class,
 // runs that class's hardware profile, and gets a VRAM split sized for it.
 func TestHeterogeneousClassGeometry(t *testing.T) {
-	sys, se, trace, mkt := spotFixture(t, "H800,A10", true)
+	sys, se, trace, mkt := spotFixture(t, "H800,A10", true, nil)
 	classes := map[string]string{}
 	for _, name := range sys.InstanceNames() {
 		classes[name] = mkt.ClassFor(name).Name
@@ -192,30 +193,14 @@ func TestHeterogeneousClassGeometry(t *testing.T) {
 	}
 }
 
-// noticedPlacements serves the spot trace on an aware 1+3 pool with the
+// noticedPlacements serves the spot fixture (an aware 1+3 pool) with the
 // decision journal on, notices the named decode instances at 45s with a 5s
 // grace, and returns the scored decode placements made once every notice is
 // open and before the first revocation.
 func noticedPlacements(t *testing.T, noticed ...string) []decision.Record {
 	t.Helper()
-	models := model.SmallMix(6)
-	var names []string
-	for _, m := range models {
-		names = append(names, m.Name)
-	}
-	trace := workload.PoissonTrace(rand.New(rand.NewSource(9)), names, 0.4, 120*time.Second, workload.ShareGPT())
-	se := sim.NewEngine(1)
-	classes, err := market.ParseClasses("H800")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig(models, engine.AllOptimizations(), 1, 3)
-	cfg.Market = market.New(se, nil, market.Config{Classes: classes, Spot: true, Aware: true, Seed: 1})
-	cfg.Decisions = decision.New(decision.Options{})
-	sys := NewSystem(se, cfg)
-	if err := sys.Submit(trace); err != nil {
-		t.Fatal(err)
-	}
+	j := decision.New(decision.Options{})
+	sys, se, _, _ := spotFixture(t, "H800", true, j)
 	const notice, grace = 45 * time.Second, 5 * time.Second
 	se.At(notice, func() {
 		for _, name := range noticed {
@@ -228,13 +213,13 @@ func noticedPlacements(t *testing.T, noticed ...string) []decision.Record {
 	// Each notice is journaled before its instance is drained, so placements
 	// after the last notice record see every named instance noticed.
 	var after uint64
-	for _, rec := range cfg.Decisions.Recent(0, decision.KindEvacuation) {
+	for _, rec := range j.Recent(0, decision.KindEvacuation) {
 		if rec.Outcome == "notice" {
 			after = rec.Seq
 		}
 	}
 	var out []decision.Record
-	for _, rec := range cfg.Decisions.Recent(0, decision.KindDecodePlacement) {
+	for _, rec := range j.Recent(0, decision.KindDecodePlacement) {
 		if rec.Seq > after && rec.At < notice+grace && len(rec.Candidates) > 0 {
 			out = append(out, rec)
 		}
